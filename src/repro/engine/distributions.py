@@ -18,7 +18,7 @@ estimation errors.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -64,8 +64,18 @@ class Distribution:
         return max(0.0, self.selectivity_le(high) - below_low)
 
     def selectivity_in(self, values: Sequence[float]) -> float:
-        """True fraction of rows with ``column IN (values)``."""
-        return min(1.0, sum(self.selectivity_eq(v) for v in set(values)))
+        """True fraction of rows with ``column IN (values)``.
+
+        The per-value selectivities of the distinct values are summed
+        in ``set(values)`` order as Python floats, so a vectorized
+        :meth:`_selectivities_eq` gives the same bits as calling
+        :meth:`selectivity_eq` once per value.
+        """
+        return min(1.0, sum(self._selectivities_eq(list(set(values)))))
+
+    def _selectivities_eq(self, values: List[float]) -> List[float]:
+        """:meth:`selectivity_eq` of each value; subclasses vectorize it."""
+        return [self.selectivity_eq(v) for v in values]
 
 
 class UniformInt(Distribution):
@@ -94,6 +104,11 @@ class UniformInt(Distribution):
         if self.min_value <= value <= self.max_value and float(value).is_integer():
             return 1.0 / self.n_distinct
         return 0.0
+
+    def _selectivities_eq(self, values: List[float]) -> List[float]:
+        v = np.asarray(values, dtype=np.float64)
+        hit = (self.min_value <= v) & (v <= self.max_value) & (v == np.floor(v))
+        return np.where(hit, 1.0 / self.n_distinct, 0.0).tolist()
 
     def quantile(self, p: float) -> float:
         p = min(max(p, 0.0), 1.0)
@@ -143,6 +158,10 @@ class ZipfInt(Distribution):
             return float(self._pmf[rank])
         return 0.0
 
+    def _selectivities_eq(self, values: List[float]) -> List[float]:
+        return _pmf_at(self._pmf,
+                       np.asarray(values, dtype=np.float64) - self.min_value)
+
     def quantile(self, p: float) -> float:
         p = min(max(p, 0.0), 1.0)
         rank = int(np.searchsorted(self._cdf, p))
@@ -183,12 +202,24 @@ class CategoricalCodes(Distribution):
             return float(self._pmf[code])
         return 0.0
 
+    def _selectivities_eq(self, values: List[float]) -> List[float]:
+        return _pmf_at(self._pmf, np.asarray(values, dtype=np.float64))
+
     def quantile(self, p: float) -> float:
         p = min(max(p, 0.0), 1.0)
         return float(min(int(np.searchsorted(self._cdf, p)), self.n_distinct - 1))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.n_distinct, size=n, p=self._pmf).astype(np.int64)
+
+
+def _pmf_at(pmf: np.ndarray, ranks: np.ndarray) -> List[float]:
+    """``pmf[rank]`` for each integral rank inside the support, else 0.0."""
+    # The range test also rules out NaN and infinities.
+    hit = (ranks >= 0) & (ranks < len(pmf)) & (ranks == np.floor(ranks))
+    out = np.zeros(len(ranks))
+    out[hit] = pmf[ranks[hit].astype(np.int64)]
+    return out.tolist()
 
 
 def uniform_categorical(n_distinct: int) -> CategoricalCodes:

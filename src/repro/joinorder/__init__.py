@@ -3,10 +3,10 @@
 * :mod:`repro.joinorder.joingraph` — join graphs with a cardinality
   oracle (exact cardinalities, like the paper's setup),
 * :mod:`repro.joinorder.costmodels` — the C_out baseline and the
-  incremental T3 cost model (two model calls per DP combination, with
-  completed-pipeline caching),
+  incremental T3 cost model (two model rows per DP combination, with
+  completed-pipeline caching, evaluated one DP level per model call),
 * :mod:`repro.joinorder.dpsize` — the DPsize dynamic-programming
-  enumerator [34] with pluggable cost models,
+  enumerator [34] with pluggable, level-wise cost models,
 * :mod:`repro.joinorder.greedy` — a greedy orderer on estimated
   cardinalities, standing in for the native optimizer row of Table 6.
 """

@@ -3,7 +3,8 @@
 Enumerates connected subplans by size: for every target size ``s`` and
 split ``s1 + s2 = s``, all pairs of disjoint connected subsets of sizes
 ``s1``/``s2`` that are linked by a join edge are combined, keeping the
-cheapest plan per subset. The cost model is pluggable (C_out or T3).
+cheapest plan per subset. The cost model is pluggable (C_out or T3) and
+is called once per size level with all of that level's candidates.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def dpsize(graph: JoinGraph, cost_model: JoinCostModel) -> DPResult:
 
     table: Dict[int, _Entry] = {}
     by_size: List[List[int]] = [[] for _ in range(n + 1)]
-    for relation in graph.relations:
+    for relation, state in zip(graph.relations,
+                               cost_model.leaves(graph.relations)):
         mask = 1 << relation.index
-        state = cost_model.leaf(relation)
         table[mask] = _Entry(relation.index, state, relation.cardinality)
         by_size[1].append(mask)
 
@@ -59,6 +60,12 @@ def dpsize(graph: JoinGraph, cost_model: JoinCostModel) -> DPResult:
     # the left subtree builds and the right probes — cost models like T3
     # are orientation-sensitive (C_out is symmetric and unaffected).
     for size in range(2, n + 1):
+        # Level ``size`` only reads entries of smaller sizes, so all of
+        # its candidates are enumerated first, costed in one cost-model
+        # call, and then kept first-strictly-cheaper in enumeration order.
+        lefts: List[_Entry] = []
+        rights: List[_Entry] = []
+        masks: List[int] = []
         for left_size in range(1, size):
             right_size = size - left_size
             for left_mask in by_size[left_size]:
@@ -67,21 +74,25 @@ def dpsize(graph: JoinGraph, cost_model: JoinCostModel) -> DPResult:
                         continue
                     if not graph.connected(left_mask, right_mask):
                         continue
-                    combined = left_mask | right_mask
-                    left = table[left_mask]
-                    right = table[right_mask]
-                    out_card = graph.cardinality(combined)
-                    state = cost_model.combine(
-                        graph, left.state, right.state,
-                        left.cardinality, right.cardinality, out_card)
-                    existing = table.get(combined)
-                    if (existing is None
-                            or state.comparison_cost
-                            < existing.state.comparison_cost):
-                        if existing is None:
-                            by_size[size].append(combined)
-                        table[combined] = _Entry(
-                            (left.tree, right.tree), state, out_card)
+                    lefts.append(table[left_mask])
+                    rights.append(table[right_mask])
+                    masks.append(left_mask | right_mask)
+        if not masks:
+            continue
+        out_cards = [graph.cardinality(mask) for mask in masks]
+        states = cost_model.combine(
+            [left.state for left in lefts], [right.state for right in rights],
+            [left.cardinality for left in lefts],
+            [right.cardinality for right in rights], out_cards)
+        for left, right, combined, out_card, state in zip(
+                lefts, rights, masks, out_cards, states):
+            existing = table.get(combined)
+            if (existing is None
+                    or state.comparison_cost < existing.state.comparison_cost):
+                if existing is None:
+                    by_size[size].append(combined)
+                table[combined] = _Entry(
+                    (left.tree, right.tree), state, out_card)
 
     full_mask = (1 << n) - 1
     if full_mask not in table:

@@ -335,8 +335,7 @@ class PredictionService:
             raise
         total_s = time.perf_counter() - started
         self._m_requests.inc()
-        self._m_parse.observe(parse_s)
-        self._m_featurize.observe(featurize_s)
+        self._observe_front_stages(parse_s, featurize_s, hit)
         self._m_infer.observe(infer_s)
         self._m_total.observe(total_s)
         return PredictionResult(
@@ -404,8 +403,7 @@ class PredictionService:
                     total = float(times.sum())
             offset += rows
             self._m_requests.inc()
-            self._m_parse.observe(parse_s)
-            self._m_featurize.observe(featurize_s)
+            self._observe_front_stages(parse_s, featurize_s, hit)
             results.append(PredictionResult(
                 predicted_seconds=total, pipeline_seconds=pipeline_seconds,
                 model_name=entry.name, model_version=entry.version,
@@ -417,6 +415,18 @@ class PredictionService:
         self._m_infer.observe(infer_s)
         self._m_total.observe(time.perf_counter() - started)
         return results
+
+    def _observe_front_stages(self, parse_s: float, featurize_s: float,
+                              hit: bool) -> None:
+        """Record parse/featurize latency of a plan-cache miss.
+
+        A hit skips both stages; the cache-hit counter already counts
+        it, and observing its zeros would make the stage quantiles
+        track the hit ratio instead of the stages' cost.
+        """
+        if not hit:
+            self._m_parse.observe(parse_s)
+            self._m_featurize.observe(featurize_s)
 
     # -- routing -----------------------------------------------------------
 

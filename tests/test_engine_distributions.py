@@ -141,3 +141,27 @@ def test_property_samples_within_domain(dist):
     data = dist.sample(500, rng)
     assert data.min() >= dist.min_value
     assert data.max() <= dist.max_value
+
+
+
+OFF_SUPPORT = st.one_of(
+    st.floats(-600.0, 600.0),
+    st.integers(-600, 600).map(lambda v: v + 0.5),
+    st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan"),
+                     1e300, -1e300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(DISTRIBUTIONS, st.data())
+def test_property_in_list_matches_per_value_reference(dist, data):
+    """The vectorized IN selectivity is bit-identical to summing
+    ``selectivity_eq`` once per distinct value, in ``set`` order —
+    including out-of-range, negative and non-integer values."""
+    near_support = st.integers(int(dist.min_value) - 5,
+                               int(dist.max_value) + 5)
+    values = data.draw(st.lists(st.one_of(near_support, OFF_SUPPORT),
+                                max_size=200))
+    reference = min(1.0, sum(dist.selectivity_eq(v) for v in set(values)))
+    assert dist.selectivity_in(values) == reference
+    assert (dist._selectivities_eq(list(set(values)))
+            == [dist.selectivity_eq(v) for v in set(values)])

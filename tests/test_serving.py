@@ -432,6 +432,19 @@ class TestPredictionService:
         assert warm.predicted_seconds == pytest.approx(
             cold.predicted_seconds, rel=1e-12)
 
+    def test_cache_hit_leaves_stage_histograms_unchanged(self, service):
+        parse = service.metrics.get("t3_serving_parse_seconds")
+        featurize = service.metrics.get("t3_serving_featurize_seconds")
+        assert not service.predict(SQL, "toy").cache_hit
+        assert (parse.count, featurize.count) == (1, 1)
+        sums = (parse.sum, featurize.sum)
+        warm = service.predict(SQL, "toy")
+        batch = service.predict_many([(SQL, "toy"), (SQL, "toy")])
+        assert warm.cache_hit and all(r.cache_hit for r in batch)
+        # Hits skip parse and featurize: nothing is observed for them.
+        assert (parse.count, featurize.count) == (1, 1)
+        assert (parse.sum, featurize.sum) == sums
+
     def test_cache_eviction_under_pressure(self, toy_model, resolver):
         registry = ModelRegistry()
         registry.register(toy_model, "m")
