@@ -1,19 +1,17 @@
-"""Codegen backend matrix — fig05/tab01/tab02 across every strategy.
+"""Inference backends — fig05/tab01/tab02, compiled vs interpreted.
 
 Re-runs the paper's latency/throughput shapes (Figure 5 scaling,
-Table 1 single-row latency, Table 2 single-vs-batch throughput) across
-the full backend matrix: ``nested_if`` / ``flat_array`` /
-``flat_array_f32`` compiled strategies plus the vectorized interpreter.
+Table 1 single-row latency, Table 2 single-vs-batch throughput) for the
+compiled nested-if backend and the vectorized interpreter.
 
-The headline gate is the batch-native contract of codegen v2: at batch
-256, one ``predict_batch`` FFI call must beat 256 back-to-back
+The headline gate is the batch-native runtime contract: at batch 256,
+one ``predict_batch`` FFI call must beat 256 back-to-back
 ``predict_one`` calls by at least 5x in rows/second. Accuracy rides
-along: the float64 strategies must be bit-identical to the interpreter
-(zero q-error delta), and ``flat_array_f32`` within the documented
-float32-threshold tolerance.
+along: the compiled backend must be bit-identical to the interpreter
+(zero q-error delta).
 
 Numbers land in ``BENCH_treecomp.json`` at the repo root so CI can
-track the matrix on every PR::
+track them on every PR::
 
     REPRO_BENCH_SCALE=smoke pytest benchmarks/test_treecomp_backends.py --benchmark-only
 """
@@ -29,24 +27,14 @@ import pytest
 
 from repro.core.dataset import build_dataset
 from repro.experiments.reporting import format_seconds, print_table
-from repro.treecomp import (
-    STRATEGIES,
-    InterpretedModel,
-    compile_model,
-    find_c_compiler,
-)
+from repro.treecomp import InterpretedModel, compile_model, find_c_compiler
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_treecomp.json"
 
-#: The codegen-v2 acceptance bar: one batch-256 FFI call must deliver
+#: The batch-native acceptance bar: one batch-256 FFI call must deliver
 #: at least 5x the rows/second of 256 single-row calls.
 MIN_BATCH_SPEEDUP = 5.0
 GATE_BATCH_ROWS = 256
-
-#: Documented flat_array_f32 accuracy envelope (relative to the
-#: prediction scale): truncating thresholds to float32 can re-route
-#: only inputs within half a float32 ulp of a split point.
-F32_RTOL = 1e-5
 
 PIPELINE_COUNTS = (1, 10, 100, 1000)
 
@@ -85,10 +73,8 @@ def test_backend_matrix(benchmark, ctx, t3, test_queries):
 
     interpreter = InterpretedModel(t3.booster)
     reference = interpreter.predict(pool)
-    backends = {"interpreted": interpreter}
-    compiled = {name: compile_model(t3.booster, strategy=name)
-                for name in sorted(STRATEGIES)}
-    backends.update(compiled)
+    compiled = compile_model(t3.booster)
+    backends = {"interpreted": interpreter, "compiled": compiled}
 
     record = {"scale": ctx.scale.name, "n_trees": t3.booster.n_trees,
               "n_features": t3.booster.n_features,
@@ -141,61 +127,46 @@ def test_backend_matrix(benchmark, ctx, t3, test_queries):
                  format_seconds(scaling[1000]),
                  f"{batch_rps:,.0f}", f"{batch_rps / single_rps:.1f}x",
                  "0" if bit_identical else f"{max_delta:.2e}"])
-    finally:
-        for model in compiled.values():
-            model.close()
 
-    # The serving hot path in one line: a 256-row micro-batch through
-    # the flat-array batch entry.
-    flat = compile_model(t3.booster, strategy="flat_array")
-    try:
-        benchmark(lambda: flat.predict(gate_rows))
+        # The serving hot path in one line: a 256-row micro-batch
+        # through the compiled batch entry.
+        benchmark(lambda: compiled.predict(gate_rows))
     finally:
-        flat.close()
+        compiled.close()
 
-    gate = record["backends"]["flat_array"]
-    per_row_compiled = min(
-        record["backends"][name]["single_rows_per_second"]
-        for name in sorted(STRATEGIES))
+    gate = record["backends"]["compiled"]
     record["gate"] = {
         "min_batch_speedup": MIN_BATCH_SPEEDUP,
-        "flat_batch256_rows_per_second": gate["batch256_rows_per_second"],
-        "slowest_per_row_compiled_rows_per_second": per_row_compiled,
+        "batch256_rows_per_second": gate["batch256_rows_per_second"],
+        "single_rows_per_second": gate["single_rows_per_second"],
         "speedup_vs_own_single": gate["batch_vs_single_speedup"],
     }
     RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
     print_table(
-        "Codegen backend matrix (fig05/tab01/tab02 shapes)",
+        "Inference backends (fig05/tab01/tab02 shapes)",
         ["backend", "1-row", "1000-row", "batch-256 rows/s",
          "batch/single", "max |delta|"],
         table_rows,
-        note=f"gate: flat_array batch >= {MIN_BATCH_SPEEDUP}x per-row "
+        note=f"gate: compiled batch >= {MIN_BATCH_SPEEDUP}x per-row "
              f"compiled at {GATE_BATCH_ROWS} rows; "
              f"recorded in {RESULT_PATH.name}")
 
-    # -- accuracy gates ----------------------------------------------
-    for name in ("nested_if", "flat_array"):
-        assert record["backends"][name]["bit_identical_to_interpreter"], (
-            f"{name} diverged from the interpreter by "
-            f"{record['backends'][name]['max_abs_delta']}")
-    scale = float(np.max(np.abs(reference))) or 1.0
-    f32_delta = record["backends"]["flat_array_f32"]["max_abs_delta"]
-    assert f32_delta <= F32_RTOL * scale, (
-        f"flat_array_f32 delta {f32_delta} exceeds the documented "
-        f"tolerance {F32_RTOL} x {scale}")
+    # -- accuracy gate -----------------------------------------------
+    assert gate["bit_identical_to_interpreter"], (
+        f"compiled diverged from the interpreter by "
+        f"{gate['max_abs_delta']}")
 
     # -- throughput gate: batch-native must beat per-row FFI by 5x ----
     assert gate["batch256_rows_per_second"] >= \
-        MIN_BATCH_SPEEDUP * per_row_compiled, (
-            f"flat_array batch-256 {gate['batch256_rows_per_second']} "
-            f"rows/s vs per-row compiled {per_row_compiled} rows/s — "
-            f"expected >= {MIN_BATCH_SPEEDUP}x")
+        MIN_BATCH_SPEEDUP * gate["single_rows_per_second"], (
+            f"compiled batch-256 {gate['batch256_rows_per_second']} "
+            f"rows/s vs per-row compiled {gate['single_rows_per_second']} "
+            f"rows/s — expected >= {MIN_BATCH_SPEEDUP}x")
 
     # fig05 sanity: compiled batch latency stays in the microsecond
     # regime at one pipeline and scales sublinearly past it.
-    one = record["backends"]["flat_array"]["latency_by_pipelines_us"]["1"]
-    thousand = \
-        record["backends"]["flat_array"]["latency_by_pipelines_us"]["1000"]
+    one = gate["latency_by_pipelines_us"]["1"]
+    thousand = gate["latency_by_pipelines_us"]["1000"]
     assert one < 50.0
     assert thousand < one * 1000

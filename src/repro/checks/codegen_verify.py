@@ -21,24 +21,12 @@ structure and proves structural equivalence against the
 * the parsed representation predicting bit-identically to the Python
   model on deterministic probe vectors (CG009),
 * no bare ``inf``/``nan`` literals that a C compiler would reject
-  (CG010).
+  (CG010) — and a model the generator refuses to render because of a
+  NaN or an infinite threshold is a CG010 finding too, not a pass.
 
 The C parser is deliberately narrow: it accepts exactly the shape the
 generator emits and treats anything else as a parse failure (CG001) —
 a verifier that guesses is no verifier at all.
-
-The same rule IDs cover every codegen strategy. For the flat node-array
-strategies (``flat_array``, ``flat_array_f32``) the parser recovers the
-contiguous node arrays and the batch walker instead of nested branches,
-and the comparison walks each tree through the arrays from its root:
-CG002 covers array sizing and the walker's tree-loop bound, CG003
-topology (leaf/split shape, child indices, orphaned or shared nodes),
-CG004/CG005/CG006 per-node payloads, CG007/CG008 the walker's base
-score, row stride, and ``n_features()``, and CG009 probes the parsed
-arrays against the model — bit-identical for float64 strategies, and
-bit-identical to a float32-truncated reference walk for
-``flat_array_f32`` (whose generation the EA005 near-tie guard already
-restricts to models where truncation is safe).
 """
 
 from __future__ import annotations
@@ -50,19 +38,14 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import CheckError
+from ..errors import CheckError, CompilationError
 from ..rng import DEFAULT_SEED, derive_rng
 from ..trees.boosting import BoostedTreesModel
 from ..trees.tree import LEAF, Tree
-from ..treecomp.codegen import (
-    DEFAULT_STRATEGY,
-    CodegenStrategy,
-    get_strategy,
-)
+from ..treecomp.codegen import generate_c_source
 
 __all__ = ["ParsedLeaf", "ParsedSplit", "ParsedTree", "ParsedModel",
-           "ParsedFlatModel", "parse_c_source", "parse_flat_source",
-           "verify_codegen", "self_check_model"]
+           "parse_c_source", "verify_codegen", "self_check_model"]
 
 from .findings import Finding, Severity
 
@@ -83,32 +66,6 @@ _RE_TREE_CALL = re.compile(r"^tree_(\d+)\(f\)$")
 
 #: Bare non-finite tokens ``repr(float)`` would emit but C rejects.
 _RE_NONFINITE = re.compile(r"(?<![\w.])(-?inf|nan)(?![\w.])")
-
-# -- flat node-array strategy shapes ----------------------------------------
-_RE_FLAT_ARRAY_HEADER = re.compile(
-    r"^static const (int|float|double) (\w+)_"
-    r"(node_feature|node_threshold|node_left|node_right|node_value|"
-    r"tree_root)\[(\d+)\] = \{$")
-_RE_FLAT_ROW = re.compile(r"^const double \*row = f \+ i \* (\d+)L;$")
-_RE_FLAT_ACC = re.compile(r"^double acc = (.+?);$")
-_RE_FLAT_TREE_LOOP = re.compile(r"^for \(long t = 0; t < (\d+)L; t\+\+\) \{$")
-_RE_FLAT_ROOT = re.compile(r"^long node = (\w+)_tree_root\[t\];$")
-_RE_FLAT_WHILE = re.compile(r"^while \((\w+)_node_feature\[node\] >= 0\) \{$")
-_RE_FLAT_STEP = re.compile(
-    r"^node = row\[(\w+)_node_feature\[node\]\] <= "
-    r"(\w+)_node_threshold\[node\] \? (\w+)_node_left\[node\] : "
-    r"(\w+)_node_right\[node\];$")
-_RE_FLAT_ACCUM = re.compile(r"^acc \+= (\w+)_node_value\[node\];$")
-
-#: flat array kind -> required element C type(s), in emission order.
-_FLAT_ARRAY_KINDS: List[Tuple[str, Tuple[str, ...]]] = [
-    ("node_feature", ("int",)),
-    ("node_threshold", ("double", "float")),
-    ("node_left", ("int",)),
-    ("node_right", ("int",)),
-    ("node_value", ("double",)),
-    ("tree_root", ("int",)),
-]
 
 
 @dataclass(frozen=True)
@@ -361,238 +318,6 @@ def parse_c_source(source: str) -> ParsedModel:
 
 
 # ---------------------------------------------------------------------------
-# Flat node-array strategies
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParsedFlatModel:
-    """A flat-array translation unit, structurally recovered."""
-
-    symbol_prefix: str
-    #: element C type of the threshold array ("double" or "float").
-    threshold_ctype: str
-    feature: List[int]
-    threshold: List[float]
-    left: List[int]
-    right: List[int]
-    value: List[float]
-    roots: List[int]
-    #: 1-based header line of each array, keyed by kind.
-    array_lines: "dict[str, int]"
-    batch_stride: int
-    batch_stride_line: int
-    base_score: float
-    base_score_line: int
-    #: walker's inner tree-loop bound.
-    loop_trees: int
-    loop_trees_line: int
-    reported_n_features: int
-    reported_n_features_line: int
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-    def evaluate(self, x: np.ndarray) -> float:
-        """Replay the walker in Python: same arrays, same double math.
-
-        Float thresholds were parsed to exactly their float32 values,
-        and C promotes ``float`` to ``double`` before the comparison, so
-        this matches the ``flat_array_f32`` unit bit for bit too.
-        """
-        total = self.base_score
-        for root in self.roots:
-            node = root
-            while self.feature[node] >= 0:
-                follow_left = x[self.feature[node]] <= self.threshold[node]
-                node = self.left[node] if follow_left else self.right[node]
-            total += self.value[node]
-        return total
-
-
-def _parse_flat_float(token: str, ctype: str, line: int, what: str) -> float:
-    """Parse a ``double`` or suffixed ``float`` element literal."""
-    token = token.strip()
-    if ctype == "float":
-        if not token.endswith(("F", "f")):
-            raise CheckError(
-                f"line {line}: {what} literal {token!r} lacks the float "
-                "suffix in a float array")
-        token = token[:-1]
-    return _parse_literal(token, line, what)
-
-
-def _parse_flat_int(token: str, line: int, what: str) -> int:
-    try:
-        return int(token.strip())
-    except ValueError:
-        raise CheckError(
-            f"line {line}: cannot parse {what} literal {token!r}") from None
-
-
-class _FlatParser(_Parser):
-    """Parser for the flat node-array translation unit."""
-
-    def parse_array(self, expected_kind: str,
-                    allowed_ctypes: Tuple[str, ...]
-                    ) -> Tuple[str, str, List[str], int]:
-        """One ``static const`` array: (prefix, ctype, tokens, line)."""
-        lineno, text = self.take()
-        match = _RE_FLAT_ARRAY_HEADER.match(text)
-        if not match:
-            raise CheckError(
-                f"line {lineno}: expected {expected_kind} array, got {text!r}")
-        ctype, prefix, kind, declared = (match.group(1), match.group(2),
-                                         match.group(3), int(match.group(4)))
-        if kind != expected_kind:
-            raise CheckError(
-                f"line {lineno}: expected {expected_kind} array, "
-                f"got {kind}")
-        if ctype not in allowed_ctypes:
-            raise CheckError(
-                f"line {lineno}: array {kind} has element type {ctype}, "
-                f"expected one of {allowed_ctypes}")
-        tokens: List[str] = []
-        while True:
-            value_line, value_text = self.take()
-            if value_text == "};":
-                break
-            tokens.extend(t for t in (s.strip()
-                                      for s in value_text.split(",")) if t)
-        if len(tokens) != declared:
-            raise CheckError(
-                f"line {lineno}: array {kind} declares {declared} elements "
-                f"but lists {len(tokens)}")
-        return prefix, ctype, tokens, lineno
-
-    def parse_walker(self) -> Tuple[str, int, int, float, int, int, int]:
-        """The batch walker: (prefix, stride, stride_line, base,
-        base_line, loop_trees, loop_line)."""
-        lineno, text = self.take()
-        match = _RE_BATCH_HEADER.match(text)
-        if not match:
-            raise CheckError(
-                f"line {lineno}: expected predict_batch function, "
-                f"got {text!r}")
-        prefix = match.group(1)
-        self.expect("for (long i = 0; i < n_rows; i++) {", "batch row loop")
-
-        stride_line, stride_text = self.take()
-        stride_match = _RE_FLAT_ROW.match(stride_text)
-        if not stride_match:
-            raise CheckError(
-                f"line {stride_line}: expected row pointer, "
-                f"got {stride_text!r}")
-        stride = int(stride_match.group(1))
-
-        base_line, base_text = self.take()
-        base_match = _RE_FLAT_ACC.match(base_text)
-        if not base_match:
-            raise CheckError(
-                f"line {base_line}: expected accumulator init, "
-                f"got {base_text!r}")
-        base = _parse_literal(base_match.group(1), base_line, "base score")
-
-        loop_line, loop_text = self.take()
-        loop_match = _RE_FLAT_TREE_LOOP.match(loop_text)
-        if not loop_match:
-            raise CheckError(
-                f"line {loop_line}: expected tree loop, got {loop_text!r}")
-        loop_trees = int(loop_match.group(1))
-
-        prefixes = [prefix]
-        for regex, what in ((_RE_FLAT_ROOT, "root lookup"),
-                            (_RE_FLAT_WHILE, "leaf test"),
-                            (_RE_FLAT_STEP, "walker step")):
-            step_line, step_text = self.take()
-            step_match = regex.match(step_text)
-            if not step_match:
-                raise CheckError(
-                    f"line {step_line}: expected {what}, got {step_text!r}")
-            prefixes.extend(step_match.groups())
-        self.expect("}", "walker while end")
-
-        accum_line, accum_text = self.take()
-        accum_match = _RE_FLAT_ACCUM.match(accum_text)
-        if not accum_match:
-            raise CheckError(
-                f"line {accum_line}: expected accumulation, "
-                f"got {accum_text!r}")
-        prefixes.append(accum_match.group(1))
-        self.expect("}", "tree loop end")
-        self.expect("out[i] = acc;", "row output")
-        self.expect("}", "row loop end")
-        self.expect("}", "batch function end")
-        if len(set(prefixes)) != 1:
-            raise CheckError(
-                f"line {lineno}: walker mixes symbol prefixes "
-                f"{sorted(set(prefixes))}")
-        return prefix, stride, stride_line, base, base_line, loop_trees, \
-            loop_line
-
-
-def parse_flat_source(source: str) -> ParsedFlatModel:
-    """Recover the node arrays from a flat-array translation unit.
-
-    Raises :class:`~repro.errors.CheckError` when the source does not
-    have the exact shape the flat strategies emit.
-    """
-    parser = _FlatParser(source)
-    arrays: "dict[str, List[str]]" = {}
-    lines: "dict[str, int]" = {}
-    prefixes: List[str] = []
-    threshold_ctype = "double"
-    for kind, allowed in _FLAT_ARRAY_KINDS:
-        prefix, ctype, tokens, lineno = parser.parse_array(kind, allowed)
-        prefixes.append(prefix)
-        arrays[kind] = tokens
-        lines[kind] = lineno
-        if kind == "node_threshold":
-            threshold_ctype = ctype
-    walker_prefix, stride, stride_line, base, base_line, loop_trees, \
-        loop_line = parser.parse_walker()
-    nf_prefix, n_features, nf_line = parser.parse_n_features()
-    if not parser.at_end():
-        lineno, text = parser.peek()
-        raise CheckError(f"line {lineno}: trailing content {text!r}")
-    if len(set(prefixes + [walker_prefix, nf_prefix])) != 1:
-        raise CheckError(
-            "inconsistent symbol prefixes: "
-            f"{sorted(set(prefixes + [walker_prefix, nf_prefix]))}")
-
-    node_kinds = [k for k, _ in _FLAT_ARRAY_KINDS if k != "tree_root"]
-    sizes = {len(arrays[k]) for k in node_kinds}
-    if len(sizes) != 1:
-        raise CheckError(
-            "node arrays disagree on length: "
-            f"{ {k: len(arrays[k]) for k in node_kinds} }")
-
-    return ParsedFlatModel(
-        symbol_prefix=walker_prefix,
-        threshold_ctype=threshold_ctype,
-        feature=[_parse_flat_int(t, lines["node_feature"], "feature")
-                 for t in arrays["node_feature"]],
-        threshold=[_parse_flat_float(t, threshold_ctype,
-                                     lines["node_threshold"], "threshold")
-                   for t in arrays["node_threshold"]],
-        left=[_parse_flat_int(t, lines["node_left"], "left child")
-              for t in arrays["node_left"]],
-        right=[_parse_flat_int(t, lines["node_right"], "right child")
-               for t in arrays["node_right"]],
-        value=[_parse_flat_float(t, "double", lines["node_value"],
-                                 "leaf value")
-               for t in arrays["node_value"]],
-        roots=[_parse_flat_int(t, lines["tree_root"], "tree root")
-               for t in arrays["tree_root"]],
-        array_lines=lines,
-        batch_stride=stride, batch_stride_line=stride_line,
-        base_score=base, base_score_line=base_line,
-        loop_trees=loop_trees, loop_trees_line=loop_line,
-        reported_n_features=n_features, reported_n_features_line=nf_line)
-
-
-# ---------------------------------------------------------------------------
 # Structural comparison
 # ---------------------------------------------------------------------------
 
@@ -681,205 +406,25 @@ def _probe_vectors(model: BoostedTreesModel, n_random: int = 8) -> np.ndarray:
     return np.asarray(probes, dtype=np.float64)
 
 
-def _expected_threshold(raw: float, float32: bool) -> float:
-    """The threshold the generated unit must carry for a model value."""
-    return float(np.float32(raw)) if float32 else float(raw)
-
-
-def _reference_predict(model: BoostedTreesModel, x: np.ndarray,
-                       float32: bool) -> float:
-    """Walk the model with (optionally float32-truncated) thresholds.
-
-    The float64 reference matches ``model.predict_one`` bit for bit;
-    the float32 reference is what a correct ``flat_array_f32`` unit
-    must compute (C promotes the ``float`` threshold back to ``double``
-    for the comparison).
-    """
-    total = float(model.base_score)
-    for tree in model.trees:
-        node = 0
-        while tree.left[node] != LEAF:
-            threshold = _expected_threshold(float(tree.threshold[node]),
-                                            float32)
-            if x[int(tree.feature[node])] <= threshold:
-                node = int(tree.left[node])
-            else:
-                node = int(tree.right[node])
-        total += float(tree.value[node])
-    return total
-
-
-def _compare_flat(parsed: ParsedFlatModel, model: BoostedTreesModel,
-                  path: str, float32: bool,
-                  findings: List[Finding]) -> None:
-    """Walk every model tree through the parsed node arrays."""
-    report = findings.append
-    total_nodes = sum(tree.n_nodes for tree in model.trees)
-    if parsed.n_nodes != total_nodes:
-        report(Finding(
-            "CG002", Severity.ERROR, path, parsed.array_lines["node_feature"],
-            f"node arrays hold {parsed.n_nodes} nodes, model has "
-            f"{total_nodes}"))
-    if len(parsed.roots) != model.n_trees:
-        report(Finding(
-            "CG002", Severity.ERROR, path, parsed.array_lines["tree_root"],
-            f"tree_root lists {len(parsed.roots)} trees, model has "
-            f"{model.n_trees}"))
-        return
-    if parsed.loop_trees != model.n_trees:
-        report(Finding(
-            "CG002", Severity.ERROR, path, parsed.loop_trees_line,
-            f"walker loops over {parsed.loop_trees} trees, model has "
-            f"{model.n_trees}"))
-
-    visited: "dict[int, Tuple[int, int]]" = {}
-    for tree_index, tree in enumerate(model.trees):
-        line = parsed.array_lines["tree_root"]
-        # (flat index, model node) pairs walked in lockstep.
-        stack: List[Tuple[int, int]] = [(parsed.roots[tree_index], 0)]
-        while stack:
-            flat, model_index = stack.pop()
-            if not 0 <= flat < parsed.n_nodes:
-                report(Finding(
-                    "CG003", Severity.ERROR, path, line,
-                    f"tree {tree_index}: node index {flat} outside the "
-                    f"{parsed.n_nodes}-node arrays"))
-                continue
-            if flat in visited:
-                other = visited[flat]
-                report(Finding(
-                    "CG003", Severity.ERROR, path, line,
-                    f"tree {tree_index}: node {flat} already reached by "
-                    f"tree {other[0]} node {other[1]} (shared node)"))
-                continue
-            visited[flat] = (tree_index, model_index)
-            model_is_leaf = tree.left[model_index] == LEAF
-            flat_is_leaf = parsed.feature[flat] < 0
-            if flat_is_leaf != model_is_leaf:
-                kind = "leaf" if flat_is_leaf else "split"
-                report(Finding(
-                    "CG003", Severity.ERROR, path,
-                    parsed.array_lines["node_feature"],
-                    f"tree {tree_index}: generated {kind} at node {flat} "
-                    f"where model node {model_index} is a "
-                    f"{'leaf' if model_is_leaf else 'split'}"))
-                continue
-            if flat_is_leaf:
-                expected = float(tree.value[model_index])
-                if not _floats_identical(parsed.value[flat], expected):
-                    report(Finding(
-                        "CG006", Severity.ERROR, path,
-                        parsed.array_lines["node_value"],
-                        f"tree {tree_index}: leaf value "
-                        f"{parsed.value[flat]!r} at node {flat} does not "
-                        f"round-trip model value {expected!r} "
-                        f"(node {model_index})"))
-                continue
-            model_feature = int(tree.feature[model_index])
-            if not 0 <= parsed.feature[flat] < model.n_features:
-                report(Finding(
-                    "CG004", Severity.ERROR, path,
-                    parsed.array_lines["node_feature"],
-                    f"tree {tree_index}: feature index "
-                    f"{parsed.feature[flat]} at node {flat} outside "
-                    f"[0, {model.n_features})"))
-            elif parsed.feature[flat] != model_feature:
-                report(Finding(
-                    "CG004", Severity.ERROR, path,
-                    parsed.array_lines["node_feature"],
-                    f"tree {tree_index}: generated split on feature "
-                    f"{parsed.feature[flat]} at node {flat}, model splits "
-                    f"on {model_feature} (node {model_index})"))
-            expected = _expected_threshold(float(tree.threshold[model_index]),
-                                           float32)
-            if not _floats_identical(parsed.threshold[flat], expected):
-                report(Finding(
-                    "CG005", Severity.ERROR, path,
-                    parsed.array_lines["node_threshold"],
-                    f"tree {tree_index}: threshold "
-                    f"{parsed.threshold[flat]!r} at node {flat} does not "
-                    f"round-trip expected {expected!r} "
-                    f"(node {model_index}"
-                    f"{', float32-truncated' if float32 else ''})"))
-            stack.append((parsed.left[flat], int(tree.left[model_index])))
-            stack.append((parsed.right[flat], int(tree.right[model_index])))
-    if len(visited) != parsed.n_nodes and parsed.n_nodes == total_nodes:
-        report(Finding(
-            "CG003", Severity.ERROR, path,
-            parsed.array_lines["node_feature"],
-            f"{parsed.n_nodes - len(visited)} node(s) in the arrays are "
-            "unreachable from every tree root"))
-
-
-def _verify_flat(model: BoostedTreesModel, source: str, path: str,
-                 float32: bool, findings: List[Finding]) -> List[Finding]:
-    try:
-        parsed = parse_flat_source(source)
-    except CheckError as exc:
-        findings.append(Finding(
-            "CG001", Severity.ERROR, path, 0,
-            f"generated source cannot be parsed: {exc}"))
-        return findings
-
-    expected_ctype = "float" if float32 else "double"
-    if parsed.threshold_ctype != expected_ctype:
-        findings.append(Finding(
-            "CG005", Severity.ERROR, path,
-            parsed.array_lines["node_threshold"],
-            f"threshold array has element type {parsed.threshold_ctype}, "
-            f"strategy requires {expected_ctype}"))
-        return findings
-
-    _compare_flat(parsed, model, path, float32, findings)
-
-    if not _floats_identical(parsed.base_score, float(model.base_score)):
-        findings.append(Finding(
-            "CG007", Severity.ERROR, path, parsed.base_score_line,
-            f"base score {parsed.base_score!r} does not round-trip model "
-            f"base score {model.base_score!r}"))
-    if parsed.batch_stride != model.n_features:
-        findings.append(Finding(
-            "CG008", Severity.ERROR, path, parsed.batch_stride_line,
-            f"predict_batch strides by {parsed.batch_stride} doubles per "
-            f"row, model has {model.n_features} features"))
-    if parsed.reported_n_features != model.n_features:
-        findings.append(Finding(
-            "CG008", Severity.ERROR, path, parsed.reported_n_features_line,
-            f"n_features() returns {parsed.reported_n_features}, model "
-            f"has {model.n_features}"))
-
-    # Semantic cross-check: only meaningful while the structure matches.
-    if not findings:
-        for x in _probe_vectors(model):
-            expected = _reference_predict(model, x, float32)
-            actual = parsed.evaluate(x)
-            if not _floats_identical(actual, expected):
-                findings.append(Finding(
-                    "CG009", Severity.ERROR, path, 0,
-                    f"parsed arrays predict {actual!r} on a probe vector, "
-                    f"{'float32 reference' if float32 else 'model'} "
-                    f"predicts {expected!r}"))
-                break
-    return findings
-
-
 def verify_codegen(model: BoostedTreesModel,
                    source: Optional[str] = None,
-                   path: str = "<generated C>",
-                   strategy: Union[str, CodegenStrategy] = DEFAULT_STRATEGY
-                   ) -> List[Finding]:
+                   path: str = "<generated C>") -> List[Finding]:
     """Statically verify generated C against ``model``.
 
-    ``source`` defaults to code freshly generated with ``strategy``;
-    pass an explicit string to verify a source artifact (e.g. one kept
-    from an earlier compilation — ``strategy`` must then name the
-    strategy that produced it). Returns findings; an empty list proves
+    ``source`` defaults to code freshly generated from ``model``; pass
+    an explicit string to verify a source artifact (e.g. one kept from
+    an earlier compilation). Returns findings; an empty list proves
     structural equivalence. A source so malformed it cannot be parsed
-    yields a single CG001 error.
+    yields a single CG001 error. A model the generator refuses yields a
+    single error carrying the refusal's text: CG002 for an ensemble
+    with no trees, CG010 for a non-finite value.
     """
-    resolved = get_strategy(strategy)
     if source is None:
-        source = resolved.generate(model)
+        try:
+            source = generate_c_source(model)
+        except CompilationError as exc:
+            rule = "CG002" if model.n_trees == 0 else "CG010"
+            return [Finding(rule, Severity.ERROR, path, 0, str(exc))]
     findings: List[Finding] = []
 
     for match in _RE_NONFINITE.finditer(source):
@@ -887,11 +432,6 @@ def verify_codegen(model: BoostedTreesModel,
         findings.append(Finding(
             "CG010", Severity.ERROR, path, line,
             f"bare non-finite literal {match.group(0)!r} is not valid C"))
-
-    if not resolved.emits_single_entry:
-        return _verify_flat(model, source, path,
-                            float32=resolved.threshold_dtype == "float32",
-                            findings=findings)
 
     try:
         parsed = parse_c_source(source)

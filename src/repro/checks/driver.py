@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import CheckError, CompilationError
-from ..treecomp.codegen import STRATEGIES
+from ..errors import CheckError
 from ..trees.boosting import BoostedTreesModel
 from ..trees.serialize import loads_model
 from .codegen_verify import self_check_model, verify_codegen
@@ -73,7 +72,8 @@ RULES: Dict[str, str] = {
     "CG007": "base score mismatch",
     "CG008": "predict/predict_batch/n_features export inconsistency",
     "CG009": "parsed code and model disagree on a probe vector",
-    "CG010": "bare non-finite float literal in generated C",
+    "CG010": "non-finite float: bare literal in generated C, or a value "
+             "the generator refuses",
     "EA000": "ensemble analyzer could not run",
     "EA001": "dead branch: split threshold outside its reachable interval",
     "EA002": "unreachable leaf (inside a dead subtree)",
@@ -245,29 +245,14 @@ class CheckOptions:
 
 
 def _run_codegen(opts: CheckOptions) -> List[Finding]:
-    """Verify generated C for every registered codegen strategy.
-
-    A strategy that refuses to generate for this model (e.g. the
-    ``flat_array_f32`` near-tie guard) is skipped — the refusal is the
-    guard working, not an equivalence failure, and the underlying
-    condition is already surfaced as an EA005 warning.
-    """
+    """Verify the generated C; a model the emitter refuses is a finding."""
     if opts.model_path is not None:
         booster = _load_booster(opts.model_path)
         label = Path(opts.model_path).name
     else:
         booster = self_check_model()
         label = "<self-check model>"
-    findings: List[Finding] = []
-    for name, strategy in STRATEGIES.items():
-        try:
-            source = strategy.generate(booster)
-        except CompilationError:
-            continue
-        findings.extend(verify_codegen(
-            booster, source=source,
-            path=f"<generated C ({name}) for {label}>", strategy=strategy))
-    return findings
+    return verify_codegen(booster, path=f"<generated C for {label}>")
 
 
 def _run_ensemble(opts: CheckOptions) -> List[Finding]:

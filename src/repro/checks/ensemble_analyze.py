@@ -140,9 +140,9 @@ def _reachability_findings(tree: Tree, tree_index: int, path: str
 def near_tie_findings(trees: Sequence[Tree], path: str) -> List[Finding]:
     """EA005: same-feature thresholds closer than one float32 ulp.
 
-    Public: also the generation guard for the ``flat_array_f32`` codegen
-    strategy, which refuses to emit float-truncated thresholds a
-    single-precision comparison cannot separate.
+    A warning about the ensemble itself: such a pair of splits routes
+    inputs differently only across a float32-sized gap, so a port of the
+    model to single precision would merge them.
     """
     findings: List[Finding] = []
     by_feature: Dict[int, List[Tuple[float, int, int]]] = {}

@@ -47,7 +47,6 @@ from .engine.explain import explain, explain_pipelines
 from .engine.optimizer import Optimizer
 from .engine.pipelines import decompose_into_pipelines
 from .engine.sqlparser import parse_sql
-from .treecomp.codegen import DEFAULT_STRATEGY, STRATEGIES
 from .trees.boosting import BoostingParams
 
 
@@ -96,11 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--objective", default="mape",
                        choices=("mape", "l2", "l1"))
     train.add_argument("--no-compile", action="store_true")
-    train.add_argument("--codegen", default=DEFAULT_STRATEGY,
-                       choices=sorted(STRATEGIES),
-                       help="codegen strategy for the compiled backend, "
-                            "persisted with the model (default: "
-                            f"{DEFAULT_STRATEGY})")
 
     evaluate = subcommands.add_parser(
         "evaluate", help="q-error of a model on a workload")
@@ -143,11 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="default per-request deadline in seconds")
     serve.add_argument("--no-compile", action="store_true",
                        help="force the interpreted backend")
-    serve.add_argument("--codegen", default=None,
-                       choices=sorted(STRATEGIES),
-                       help="override the codegen strategy persisted in "
-                            "the loaded model(s) (default: honour each "
-                            "artifact's own)")
     serve.add_argument("--chaos", metavar="PLAN",
                        help="deterministic fault plan: ';'-separated "
                             "site:action[:probability[:max_fires]] specs, "
@@ -307,8 +296,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         boosting=BoostingParams(n_rounds=args.rounds,
                                 objective=args.objective,
                                 validation_fraction=0.2),
-        compile_to_native=not args.no_compile,
-        codegen_strategy=args.codegen)
+        compile_to_native=not args.no_compile)
     print(f"training on {len(queries)} queries "
           f"({args.rounds} rounds, {args.objective}) ...", file=sys.stderr)
     model = T3Model.train(queries, config)
@@ -384,8 +372,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"chaos plan armed (seed {seed}): "
               f"{'; '.join(plan.describe())}", file=sys.stderr)
 
-    registry = ModelRegistry(compile_native=not args.no_compile,
-                             codegen=args.codegen)
+    registry = ModelRegistry(compile_native=not args.no_compile)
     for spec in args.model:
         name, _, path = spec.rpartition("=")
         if not Path(path).exists():
@@ -401,7 +388,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         plan_cache_size=args.cache_size,
         default_timeout_s=args.timeout,
         compile_native=not args.no_compile,
-        codegen=args.codegen,
         fault_seed=seed)
     service = PredictionService(registry, config)
     manager = None

@@ -28,7 +28,6 @@ from ..engine.physical import PhysicalPlan
 from ..datagen.workload import BenchmarkedQuery
 from ..trees.boosting import BoostedTreesModel, BoostingParams, train_boosted_trees
 from ..trees.serialize import dumps_model, loads_model
-from ..treecomp.codegen import DEFAULT_STRATEGY, get_strategy
 from ..treecomp.compiler import CompiledTreeModel, compile_model, find_c_compiler
 from ..treecomp.interpreter import PythonScalarModel
 from .ablation import TargetMode, training_matrices
@@ -58,9 +57,6 @@ class T3Config:
     cardinalities: CardinalityKind = CardinalityKind.EXACT
     target_mode: TargetMode = TargetMode.PER_TUPLE
     compile_to_native: bool = True
-    #: codegen strategy for the native backend (see repro.treecomp.STRATEGIES);
-    #: persisted by save() so a loaded model recompiles the same way.
-    codegen_strategy: str = DEFAULT_STRATEGY
     seed: int = DEFAULT_SEED
 
 
@@ -118,13 +114,10 @@ class T3Model:
         """
         if self._compiled is not None:
             return True
-        # Resolve eagerly so a typo'd strategy name raises instead of
-        # silently serving interpreted predictions.
-        strategy = get_strategy(self.config.codegen_strategy)
         if find_c_compiler() is None:
             return False
         try:
-            self._compiled = compile_model(self.booster, strategy=strategy)
+            self._compiled = compile_model(self.booster)
         except CompilationError:
             return False
         self.backend = PredictionBackend.COMPILED
@@ -254,7 +247,6 @@ class T3Model:
             "target_mode": self.config.target_mode.value,
             "seed": self.config.seed,
             "feature_names": self.registry.feature_names(),
-            "codegen": self.config.codegen_strategy,
         }
         if self.lineage:
             payload["lineage"] = self.lineage
@@ -262,12 +254,11 @@ class T3Model:
 
     @classmethod
     def load(cls, path: Union[str, Path],
-             compile_to_native: bool = True,
-             codegen: Optional[str] = None) -> "T3Model":
+             compile_to_native: bool = True) -> "T3Model":
         """Load a persisted model.
 
-        ``codegen`` overrides the persisted codegen strategy (models
-        saved before the strategy layer default to ``nested_if``).
+        A ``"codegen"`` field in documents saved by older versions is
+        ignored: every model compiles with the one emitter.
         """
         payload = json.loads(Path(path).read_text())
         booster = loads_model(json.dumps(payload["model"]))
@@ -284,8 +275,6 @@ class T3Model:
             cardinalities=CardinalityKind(payload["cardinalities"]),
             target_mode=TargetMode(payload["target_mode"]),
             compile_to_native=compile_to_native,
-            codegen_strategy=codegen or payload.get("codegen",
-                                                    DEFAULT_STRATEGY),
             seed=payload["seed"])
         return cls(booster, config, lineage=payload.get("lineage"))
 

@@ -149,7 +149,6 @@ class RetrainJob:
             cardinalities=base.config.cardinalities,
             target_mode=base.config.target_mode,
             compile_to_native=False,
-            codegen_strategy=base.config.codegen_strategy,
             seed=seed)
         candidate = T3Model(booster, config, base.registry,
                             lineage=base.model_digest())

@@ -85,7 +85,6 @@ class ModelEntry:
             "version": self.version,
             "source": self.source,
             "backend": self.backend,
-            "codegen": self.model.config.codegen_strategy,
             "n_features": self.n_features,
             "n_trees": len(self.model.booster.trees),
             "warmup_seconds": round(self.warmup_seconds, 6),
@@ -105,15 +104,8 @@ class ModelRegistry:
     """Thread-safe, versioned collection of serveable models."""
 
     def __init__(self, compile_native: bool = True,
-                 injector: Optional[FaultInjector] = None,
-                 codegen: Optional[str] = None):
-        """``codegen`` overrides the codegen strategy of every model
-        loaded from disk (``repro-t3 serve --codegen ...``); ``None``
-        honours each artifact's persisted strategy. In-memory models
-        passed to :meth:`register` keep their own config either way.
-        """
+                 injector: Optional[FaultInjector] = None):
         self.compile_native = compile_native
-        self.codegen = codegen
         self._versions: Dict[str, List[ModelEntry]] = {}
         #: name -> version pinned to answer default lookups. Absent
         #: means "newest version", the pre-lifecycle behaviour.
@@ -172,8 +164,7 @@ class ModelRegistry:
             versions = self._versions.get(name, [])
             if versions and versions[-1].content_digest == digest:
                 return versions[-1]
-        model = T3Model.load(path, compile_to_native=False,
-                             codegen=self.codegen)
+        model = T3Model.load(path, compile_to_native=False)
         return self.register(model, name=name, source=str(path),
                              content_digest=digest)
 

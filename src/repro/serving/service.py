@@ -110,9 +110,6 @@ class ServingConfig:
     plan_cache_size: int = 1024      # (model, instance, sql) entries
     default_timeout_s: float = 5.0   # per-request deadline
     compile_native: bool = True
-    #: Codegen-strategy override for models loaded from disk
-    #: (``None`` = honour each artifact's persisted strategy).
-    codegen: Optional[str] = None
     # -- robustness -------------------------------------------------------
     #: Queue-depth fraction above which new requests are load-shed.
     shed_watermark_fraction: float = 0.9
@@ -216,8 +213,7 @@ class PredictionService:
                         else get_injector())
         self._injector = injector
         self.registry = registry or ModelRegistry(
-            compile_native=self.config.compile_native, injector=injector,
-            codegen=self.config.codegen)
+            compile_native=self.config.compile_native, injector=injector)
         self.metrics = metrics or MetricsRegistry()
         self._resolve_instance = instance_resolver
         self._analytic = AnalyticBaseline()

@@ -8,10 +8,9 @@ this package reimplements the same contract on top of the system C
 compiler:
 
 * :mod:`repro.treecomp.codegen` renders a trained
-  :class:`~repro.trees.boosting.BoostedTreesModel` to C through a
-  pluggable :class:`~repro.treecomp.codegen.CodegenStrategy` layer —
-  the paper-literal nested-if emitter (``nested_if``) plus batch-native
-  flat node-array backends (``flat_array``, ``flat_array_f32``),
+  :class:`~repro.trees.boosting.BoostedTreesModel` to C in lleaves'
+  shape: nested ifs, one compare + branch per internal node and one
+  return per leaf,
 * :mod:`repro.treecomp.compiler` invokes ``gcc``, loads the shared
   library through :mod:`ctypes`, and exposes ``predict``/``predict_one``
   — every shape routed through a single batch FFI entry point,
@@ -20,17 +19,7 @@ compiler:
   by the latency experiments (Table 1/2, Figure 5).
 """
 
-from .codegen import (
-    DEFAULT_STRATEGY,
-    STRATEGIES,
-    CodegenStrategy,
-    FlatArrayF32Strategy,
-    FlatArrayStrategy,
-    NestedIfStrategy,
-    flatten_ensemble,
-    generate_c_source,
-    get_strategy,
-)
+from .codegen import generate_c_source
 from .compiler import (
     CompiledTreeModel,
     compile_model,
@@ -44,14 +33,6 @@ from .interpreter import (
 )
 
 __all__ = [
-    "DEFAULT_STRATEGY",
-    "STRATEGIES",
-    "CodegenStrategy",
-    "NestedIfStrategy",
-    "FlatArrayStrategy",
-    "FlatArrayF32Strategy",
-    "flatten_ensemble",
-    "get_strategy",
     "generate_c_source",
     "CompiledTreeModel",
     "compile_model",

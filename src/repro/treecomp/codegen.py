@@ -1,38 +1,20 @@
-"""C code generation for boosted tree ensembles — pluggable strategies.
+"""C code generation for boosted tree ensembles.
 
 Follows the lleaves compilation strategy described in Section 2.6 of the
-paper, generalised into a strategy layer so the compiled backend can
-trade code shape for throughput:
+paper: an internal decision node compiles to one comparison and one
+branch, a leaf compiles to a single return. Each tree becomes one
+``static`` function; the exported ``predict`` sums the tree functions
+plus the base score, and ``predict_batch`` loops over rows.
 
-* :class:`NestedIfStrategy` (``nested_if``) — the paper's literal
-  contract: an internal decision node compiles to one comparison and one
-  branch, a leaf compiles to a single return. Each tree becomes one
-  ``static`` function; the exported ``predict`` sums the tree functions
-  plus the base score, and ``predict_batch`` loops over rows.
-* :class:`FlatArrayStrategy` (``flat_array``) — batch-native: every
-  tree is serialised into contiguous node arrays (feature index,
-  threshold, child indices, leaf value) walked by a tight
-  branchless-friendly loop. Only the ``predict_batch`` entry point is
-  exported, so a whole ``(n, n_features)`` matrix is predicted with a
-  **single** foreign-function call.
-* :class:`FlatArrayF32Strategy` (``flat_array_f32``) — the flat layout
-  with thresholds truncated to ``float``, halving the threshold
-  array's cache footprint. Guarded by the ensemble analyzer's EA005
-  near-tie analysis: generation refuses models whose thresholds a
-  single-precision comparison cannot separate.
-
-Every strategy produces a self-contained C translation unit whose
-structural equivalence to the trained model is proven by
+The generated translation unit is self-contained; its structural
+equivalence to the trained model is proven by
 :mod:`repro.checks.codegen_verify` (rules ``CG001``–``CG010``).
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from typing import ClassVar, Dict, List, Tuple, Union
-
-import numpy as np
+from typing import List
 
 from ..errors import CompilationError
 from ..trees.boosting import BoostedTreesModel
@@ -43,15 +25,6 @@ _HEADER = """\
 /* One comparison + one branch per internal node, one return per leaf. */
 #include <math.h>
 """
-
-_FLAT_HEADER = """\
-/* Auto-generated by repro.treecomp - compiled decision tree model.   */
-/* Strategy: {name} — flat node arrays, batch-native single-FFI entry. */
-#include <math.h>
-"""
-
-#: Array literals wrap at this many values per line.
-_VALUES_PER_LINE = 8
 
 
 def _float_literal(value: float, context: str, allow_infinite: bool) -> str:
@@ -74,36 +47,6 @@ def _float_literal(value: float, context: str, allow_infinite: bool) -> str:
                 "unreachable; refusing to compile")
         return "HUGE_VAL" if value > 0 else "-HUGE_VAL"
     return repr(value)
-
-
-def _float32_literal(value: float, context: str) -> str:
-    """Render a ``float`` literal that parses back to ``float32(value)``.
-
-    The shortest-double decimal of the truncated value is well inside
-    half a float32 ulp of it, so the C compiler's nearest-float parse
-    recovers exactly ``np.float32(value)``.
-    """
-    with np.errstate(over="ignore"):  # overflow here IS the detection
-        truncated = float(np.float32(value))
-    if math.isnan(truncated):
-        raise CompilationError(f"NaN {context} cannot be compiled")
-    if math.isinf(truncated):
-        raise CompilationError(
-            f"{context} ({value!r}) overflows float32; use the float64 "
-            "flat_array strategy for this model")
-    return repr(truncated) + "F"
-
-
-def _validate_model(model: BoostedTreesModel, symbol_prefix: str) -> None:
-    if not symbol_prefix.isidentifier():
-        raise CompilationError(f"invalid symbol prefix {symbol_prefix!r}")
-    if model.n_trees == 0:
-        raise CompilationError("cannot compile a model with zero trees")
-
-
-# ---------------------------------------------------------------------------
-# nested-if emitter (the paper's literal Section 2.6 contract)
-# ---------------------------------------------------------------------------
 
 
 def _emit_node(tree: Tree, node: int, indent: int, lines: List[str]) -> None:
@@ -131,7 +74,23 @@ def _emit_tree_function(tree: Tree, index: int) -> str:
     return "\n".join(lines)
 
 
-def _generate_nested_if(model: BoostedTreesModel, symbol_prefix: str) -> str:
+def generate_c_source(model: BoostedTreesModel,
+                      symbol_prefix: str = "t3") -> str:
+    """Render ``model`` to a self-contained C translation unit.
+
+    Exported symbols:
+
+    * ``double <prefix>_predict(const double *features)``
+    * ``void <prefix>_predict_batch(const double *features, long n_rows,
+      double *out)`` — ``features`` is row-major with ``n_features``
+      doubles per row.
+    * ``long <prefix>_n_features(void)`` — sanity-check hook for loaders.
+    """
+    if not symbol_prefix.isidentifier():
+        raise CompilationError(f"invalid symbol prefix {symbol_prefix!r}")
+    if model.n_trees == 0:
+        raise CompilationError("cannot compile a model with zero trees")
+
     parts = [_HEADER]
     for index, tree in enumerate(model.trees):
         parts.append(_emit_tree_function(tree, index))
@@ -154,255 +113,3 @@ long {symbol_prefix}_n_features(void) {{
 }}
 """)
     return "\n\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# flat node-array emitter (batch-native)
-# ---------------------------------------------------------------------------
-
-
-def flatten_ensemble(model: BoostedTreesModel
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray, np.ndarray, np.ndarray]:
-    """Serialise every tree into one set of contiguous node arrays.
-
-    Returns ``(feature, threshold, left, right, value, roots)``. Node
-    ``i`` of tree ``t`` lands at flat index ``roots[t] + i``; child
-    indices are rebased accordingly. Leaves carry ``feature == -1``
-    (the walker's termination test) with zeroed threshold/children,
-    internal nodes carry a zeroed value.
-    """
-    features: List[np.ndarray] = []
-    thresholds: List[np.ndarray] = []
-    lefts: List[np.ndarray] = []
-    rights: List[np.ndarray] = []
-    values: List[np.ndarray] = []
-    roots = np.empty(model.n_trees, dtype=np.int32)
-    offset = 0
-    for index, tree in enumerate(model.trees):
-        roots[index] = offset
-        is_leaf = tree.left == LEAF
-        feature = np.where(is_leaf, -1, tree.feature).astype(np.int32)
-        threshold = np.where(is_leaf, 0.0, tree.threshold)
-        left = np.where(is_leaf, -1, tree.left + offset).astype(np.int32)
-        right = np.where(is_leaf, -1, tree.right + offset).astype(np.int32)
-        value = np.where(is_leaf, tree.value, 0.0)
-        features.append(feature)
-        thresholds.append(threshold)
-        lefts.append(left)
-        rights.append(right)
-        values.append(value)
-        offset += tree.n_nodes
-    return (np.concatenate(features), np.concatenate(thresholds),
-            np.concatenate(lefts), np.concatenate(rights),
-            np.concatenate(values), roots)
-
-
-def _emit_array(name: str, ctype: str, literals: List[str]) -> str:
-    lines = [f"static const {ctype} {name}[{len(literals)}] = {{"]
-    for start in range(0, len(literals), _VALUES_PER_LINE):
-        chunk = ", ".join(literals[start:start + _VALUES_PER_LINE])
-        lines.append(f"    {chunk},")
-    lines.append("};")
-    return "\n".join(lines)
-
-
-def _near_tie_messages(model: BoostedTreesModel) -> List[str]:
-    """EA005 near-tie findings, reused as the float32 emission guard.
-
-    Imported lazily: :mod:`repro.checks` imports this module (the
-    codegen verifier round-trips generated sources), so a top-level
-    import would be circular.
-    """
-    from ..checks.ensemble_analyze import near_tie_findings
-    return [finding.message
-            for finding in near_tie_findings(model.trees, "<model>")]
-
-
-def _generate_flat(model: BoostedTreesModel, symbol_prefix: str,
-                   float32_thresholds: bool, strategy_name: str) -> str:
-    feature, threshold, left, right, value, roots = flatten_ensemble(model)
-    is_internal = feature >= 0
-
-    threshold_literals: List[str] = []
-    for node, t in enumerate(threshold):
-        if not is_internal[node]:
-            threshold_literals.append("0.0F" if float32_thresholds else "0.0")
-        elif float32_thresholds:
-            threshold_literals.append(
-                _float32_literal(float(t), f"split threshold (node {node})"))
-        else:
-            threshold_literals.append(
-                _float_literal(float(t), f"split threshold (node {node})",
-                               allow_infinite=False))
-    value_literals = [
-        _float_literal(float(v), f"leaf value (node {node})",
-                       allow_infinite=True) if not is_internal[node]
-        else "0.0"
-        for node, v in enumerate(value)]
-
-    p = symbol_prefix
-    base = _float_literal(model.base_score, "base score", allow_infinite=True)
-    threshold_ctype = "float" if float32_thresholds else "double"
-    parts = [
-        _FLAT_HEADER.format(name=strategy_name),
-        _emit_array(f"{p}_node_feature", "int",
-                    [str(int(x)) for x in feature]),
-        _emit_array(f"{p}_node_threshold", threshold_ctype,
-                    threshold_literals),
-        _emit_array(f"{p}_node_left", "int", [str(int(x)) for x in left]),
-        _emit_array(f"{p}_node_right", "int", [str(int(x)) for x in right]),
-        _emit_array(f"{p}_node_value", "double", value_literals),
-        _emit_array(f"{p}_tree_root", "int", [str(int(x)) for x in roots]),
-        f"""\
-void {p}_predict_batch(const double *f, long n_rows, double *out) {{
-    for (long i = 0; i < n_rows; i++) {{
-        const double *row = f + i * {model.n_features}L;
-        double acc = {base};
-        for (long t = 0; t < {model.n_trees}L; t++) {{
-            long node = {p}_tree_root[t];
-            while ({p}_node_feature[node] >= 0) {{
-                node = row[{p}_node_feature[node]] <= {p}_node_threshold[node] ? {p}_node_left[node] : {p}_node_right[node];
-            }}
-            acc += {p}_node_value[node];
-        }}
-        out[i] = acc;
-    }}
-}}
-
-long {p}_n_features(void) {{
-    return {model.n_features}L;
-}}
-""",
-    ]
-    return "\n\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# the strategy layer
-# ---------------------------------------------------------------------------
-
-
-class CodegenStrategy(ABC):
-    """One way of rendering a trained ensemble to a C translation unit.
-
-    Implementations are stateless; registering an instance in
-    :data:`STRATEGIES` makes it addressable by name from
-    ``compile_model(..., strategy=...)``, the ``--codegen`` CLI flag,
-    and persisted :class:`~repro.core.model.T3Model` documents.
-    """
-
-    #: registry key, CLI value, and persisted-model field value.
-    name: ClassVar[str]
-    #: whether the unit exports ``<prefix>_predict`` (one row per call).
-    emits_single_entry: ClassVar[bool]
-    #: dtype thresholds are stored in ("float64" or "float32").
-    threshold_dtype: ClassVar[str]
-
-    @abstractmethod
-    def generate(self, model: BoostedTreesModel,
-                 symbol_prefix: str = "t3") -> str:
-        """Render ``model`` to a self-contained C translation unit."""
-
-
-class NestedIfStrategy(CodegenStrategy):
-    """The paper's Section 2.6 shape: nested branches, per-tree functions.
-
-    Exported symbols:
-
-    * ``double <prefix>_predict(const double *features)``
-    * ``void <prefix>_predict_batch(const double *features, long n_rows,
-      double *out)`` — ``features`` is row-major with ``n_features``
-      doubles per row.
-    * ``long <prefix>_n_features(void)`` — sanity-check hook for loaders.
-    """
-
-    name = "nested_if"
-    emits_single_entry = True
-    threshold_dtype = "float64"
-
-    def generate(self, model: BoostedTreesModel,
-                 symbol_prefix: str = "t3") -> str:
-        _validate_model(model, symbol_prefix)
-        return _generate_nested_if(model, symbol_prefix)
-
-
-class FlatArrayStrategy(CodegenStrategy):
-    """Batch-native flat node arrays behind a single FFI entry point.
-
-    Exported symbols: ``<prefix>_predict_batch`` and
-    ``<prefix>_n_features`` only — single-row prediction goes through a
-    1-row batch, so every caller pays exactly one foreign call per
-    matrix. Evaluation order matches the nested-if strategy bit for
-    bit: ``base + tree_0 + tree_1 + ...`` over the same double-precision
-    comparisons.
-    """
-
-    name = "flat_array"
-    emits_single_entry = False
-    threshold_dtype = "float64"
-
-    def generate(self, model: BoostedTreesModel,
-                 symbol_prefix: str = "t3") -> str:
-        _validate_model(model, symbol_prefix)
-        return _generate_flat(model, symbol_prefix,
-                              float32_thresholds=False,
-                              strategy_name=self.name)
-
-
-class FlatArrayF32Strategy(FlatArrayStrategy):
-    """Flat arrays with ``float`` thresholds (half the cache footprint).
-
-    Predictions may differ from the float64 strategies when an input
-    lands between a threshold and its float32 truncation; the EA005
-    near-tie analysis guards generation — a model whose thresholds a
-    single-precision comparison cannot separate is refused instead of
-    silently mis-routed.
-    """
-
-    name = "flat_array_f32"
-    emits_single_entry = False
-    threshold_dtype = "float32"
-
-    def generate(self, model: BoostedTreesModel,
-                 symbol_prefix: str = "t3") -> str:
-        _validate_model(model, symbol_prefix)
-        near_ties = _near_tie_messages(model)
-        if near_ties:
-            raise CompilationError(
-                "model has threshold pairs a float32 comparison cannot "
-                f"separate (EA005 x{len(near_ties)}); refusing to emit "
-                f"float32 thresholds: {near_ties[0]}")
-        return _generate_flat(model, symbol_prefix,
-                              float32_thresholds=True,
-                              strategy_name=self.name)
-
-
-#: Default strategy — the paper's literal compilation contract.
-DEFAULT_STRATEGY = "nested_if"
-
-#: name -> strategy instance, in documentation order.
-STRATEGIES: Dict[str, CodegenStrategy] = {
-    strategy.name: strategy
-    for strategy in (NestedIfStrategy(), FlatArrayStrategy(),
-                     FlatArrayF32Strategy())
-}
-
-
-def get_strategy(strategy: Union[str, CodegenStrategy]) -> CodegenStrategy:
-    """Resolve a strategy name (or pass an instance through)."""
-    if isinstance(strategy, CodegenStrategy):
-        return strategy
-    resolved = STRATEGIES.get(strategy)
-    if resolved is None:
-        known = ", ".join(sorted(STRATEGIES))
-        raise CompilationError(
-            f"unknown codegen strategy {strategy!r} (known: {known})")
-    return resolved
-
-
-def generate_c_source(model: BoostedTreesModel, symbol_prefix: str = "t3",
-                      strategy: Union[str, CodegenStrategy] = DEFAULT_STRATEGY
-                      ) -> str:
-    """Render ``model`` to C using the given codegen strategy."""
-    return get_strategy(strategy).generate(model, symbol_prefix)

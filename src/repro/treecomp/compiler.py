@@ -6,12 +6,12 @@ directory, invokes the system C compiler (``cc``/``gcc``/``clang``,
 :mod:`ctypes`. Compilation happens once after training and does not add
 to inference latency (paper, Section 2.6).
 
-Every :class:`CodegenStrategy <repro.treecomp.codegen.CodegenStrategy>`
-exports the batch entry point ``<prefix>_predict_batch``; single-row
-prediction is a 1-row batch through a per-thread staging buffer, so the
-process pays exactly **one** foreign-function call per prediction
-request regardless of shape — and exactly one per micro-batch on the
-serving path.
+The runtime binds only the batch entry point ``<prefix>_predict_batch``
+(and ``<prefix>_n_features`` to check the ABI); single-row prediction
+is a 1-row batch through a per-thread staging buffer, so the process
+pays exactly **one** foreign-function call per prediction request
+regardless of shape — and exactly one per micro-batch on the serving
+path.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..errors import CompilationError
 from ..trees.boosting import BoostedTreesModel
-from .codegen import DEFAULT_STRATEGY, CodegenStrategy, get_strategy
+from . import codegen
 
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
 
@@ -90,26 +90,13 @@ class CompiledTreeModel:
     """
 
     def __init__(self, library_path: Path, workdir: Optional[Path],
-                 n_features: int, symbol_prefix: str,
-                 strategy: Union[str, CodegenStrategy] = DEFAULT_STRATEGY):
-        resolved = get_strategy(strategy)
+                 n_features: int, symbol_prefix: str):
         self._workdir = workdir
         self.library_path = Path(library_path)
         self.n_features = n_features
-        self.strategy = resolved.name
         self.ffi_calls = 0
         self._buffers = _ThreadBuffers()
         self._lib = ctypes.CDLL(str(library_path))
-
-        if resolved.emits_single_entry:
-            # Bound to validate the ABI; prediction always routes
-            # through the batch entry so per-row FFI stays off the
-            # hot path (HP001).
-            self._predict = getattr(self._lib, f"{symbol_prefix}_predict")
-            self._predict.restype = ctypes.c_double
-            self._predict.argtypes = [ctypes.POINTER(ctypes.c_double)]
-        else:
-            self._predict = None
 
         self._predict_batch = getattr(self._lib, f"{symbol_prefix}_predict_batch")
         self._predict_batch.restype = None
@@ -194,16 +181,13 @@ class CompiledTreeModel:
 
 def compile_model(model: BoostedTreesModel, symbol_prefix: str = "t3",
                   compiler: Optional[str] = None,
-                  optimization_level: int = 2,
-                  strategy: Union[str, CodegenStrategy] = DEFAULT_STRATEGY
-                  ) -> CompiledTreeModel:
-    """Compile ``model`` to native code with ``strategy`` and load it.
+                  optimization_level: int = 2) -> CompiledTreeModel:
+    """Compile ``model`` to native code and load it.
 
     Raises :class:`~repro.errors.CompilationError` if no C compiler is
     available or compilation fails; callers that can degrade gracefully
     should fall back to :class:`~repro.treecomp.interpreter.InterpretedModel`.
     """
-    resolved = get_strategy(strategy)
     compiler = compiler or find_c_compiler()
     if compiler is None:
         raise CompilationError(
@@ -212,7 +196,9 @@ def compile_model(model: BoostedTreesModel, symbol_prefix: str = "t3",
     if optimization_level not in (0, 1, 2, 3):
         raise CompilationError(f"invalid optimization level {optimization_level}")
 
-    source = resolved.generate(model, symbol_prefix)
+    # Looked up on the module so a wrapper installed on
+    # codegen.generate_c_source (perfbench's span tracer) sees the call.
+    source = codegen.generate_c_source(model, symbol_prefix)
     workdir = Path(tempfile.mkdtemp(prefix="repro-treecomp-"))
     # Any failure between mkdtemp and the ownership hand-off to
     # CompiledTreeModel must remove the directory, not just the two
@@ -237,4 +223,4 @@ def compile_model(model: BoostedTreesModel, symbol_prefix: str = "t3",
         shutil.rmtree(workdir, ignore_errors=True)
         raise
     return CompiledTreeModel(library_path, workdir, model.n_features,
-                             symbol_prefix, strategy=resolved)
+                             symbol_prefix)

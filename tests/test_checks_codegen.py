@@ -8,6 +8,7 @@ verifier pins the divergence on the right rule.
 from __future__ import annotations
 
 import copy
+import json
 import math
 import time
 
@@ -15,10 +16,16 @@ import numpy as np
 import pytest
 
 from repro.checks import parse_c_source, self_check_model, verify_codegen
+from repro.cli import main
 from repro.errors import CheckError, CompilationError
 from repro.rng import DEFAULT_SEED, derive_rng
 from repro.treecomp.codegen import generate_c_source
-from repro.trees.boosting import BoostingParams, train_boosted_trees
+from repro.trees.boosting import (
+    BoostedTreesModel,
+    BoostingParams,
+    train_boosted_trees,
+)
+from repro.trees.serialize import dumps_model
 from repro.trees.tree import LEAF
 
 
@@ -169,3 +176,24 @@ def test_codegen_rejects_nan_leaf_and_base():
 def test_parse_c_source_raises_typed_error():
     with pytest.raises(CheckError):
         parse_c_source("static double tree_0(const double *f) {")
+
+
+def test_zero_tree_model_is_cg002():
+    findings = verify_codegen(BoostedTreesModel([], 0.0, 4))
+    assert [f.rule for f in findings] == ["CG002"]
+
+
+def test_check_cli_reports_model_it_cannot_compile(tmp_path, capsys):
+    # A saved model with a NaN split threshold: the emitter refuses it,
+    # so `check --only codegen` must fail instead of reporting clean.
+    model = self_check_model()
+    model.trees[0].threshold[0] = math.nan
+    with pytest.raises(CompilationError) as refusal:
+        generate_c_source(model)
+    path = tmp_path / "nan_threshold.json"
+    path.write_text(dumps_model(model))
+    assert main(["check", "--only", "codegen", "--model", str(path),
+                 "--format", "json"]) == 1
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert [(f["rule"], f["severity"], f["message"]) for f in findings] == [
+        ("CG010", "error", str(refusal.value))]

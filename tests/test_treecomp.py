@@ -1,9 +1,16 @@
 """Tests for tree-to-native-code compilation and the interpreters."""
 
+import json
+import threading
+
 import numpy as np
 import pytest
 
+import repro.treecomp.compiler as compiler_mod
+from repro.checks.codegen_verify import self_check_model, verify_codegen
+from repro.core.model import PredictionBackend, T3Config, T3Model
 from repro.errors import CompilationError
+from repro.serving.batching import MicroBatcher
 from repro.trees import BoostingParams, train_boosted_trees
 from repro.trees.tree import Tree, TreeNode
 from repro.trees.boosting import BoostedTreesModel
@@ -13,6 +20,7 @@ from repro.treecomp import (
     MultiThreadedInterpretedModel,
     PythonScalarModel,
     compile_model,
+    compiler_info,
     find_c_compiler,
     generate_c_source,
 )
@@ -70,6 +78,12 @@ class TestCodegen:
         assert "if (f[0] <= 0.0)" in source
         assert "0.5" in source
 
+    def test_clean_generation_verifies(self, small_model):
+        assert verify_codegen(small_model) == []
+
+    def test_self_check_model_verifies(self):
+        assert verify_codegen(self_check_model()) == []
+
 
 @needs_cc
 class TestCompiledModel:
@@ -78,6 +92,14 @@ class TestCompiledModel:
         X = rng.uniform(-5, 15, size=(500, 6))
         assert np.allclose(compiled.predict(X), small_model.predict(X),
                            rtol=0, atol=1e-12)
+
+    def test_bit_identical_to_interpreter(self, small_model, compiled):
+        # same double arithmetic in the same order: bit-identical
+        X = np.random.default_rng(8).uniform(-5, 15, size=(400, 6))
+        reference = InterpretedModel(small_model).predict(X)
+        assert np.array_equal(compiled.predict(X), reference)
+        singles = np.array([compiled.predict_one(x) for x in X[:32]])
+        assert np.array_equal(singles, reference[:32])
 
     def test_single_matches_batch(self, compiled):
         rng = np.random.default_rng(2)
@@ -107,6 +129,89 @@ class TestCompiledModel:
     def test_missing_compiler_error(self, small_model):
         with pytest.raises(CompilationError):
             compile_model(small_model, compiler="/nonexistent/cc")
+
+    def test_predict_one_thread_safe(self, small_model, compiled):
+        # per-thread 1-row buffers: concurrent predict_one calls must
+        # not race on shared output storage
+        X = np.random.default_rng(8).uniform(-5, 15, size=(400, 6))
+        expected = small_model.predict(X)
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(offset, len(X), 4):
+                    got = compiled.predict_one(X[i])
+                    if got != expected[i]:
+                        errors.append((i, got, expected[i]))
+            except Exception as exc:  # pragma: no cover - fail loudly
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+
+    def test_empty_batch(self, compiled):
+        before = compiled.ffi_calls
+        out = compiled.predict(np.empty((0, 6)))
+        assert out.shape == (0,) and out.dtype == np.float64
+        assert compiled.ffi_calls == before  # no null pointer crossed FFI
+
+    def test_one_dimensional_input(self, compiled):
+        x = np.full(6, 1.5)
+        out = compiled.predict(x)
+        assert out.shape == (1,)
+        assert out[0] == compiled.predict_one(x)
+        with pytest.raises(CompilationError):
+            compiled.predict(np.zeros(3))       # wrong-length vector
+        with pytest.raises(CompilationError):
+            compiled.predict(np.zeros((2, 3)))  # wrong column count
+        with pytest.raises(CompilationError):
+            compiled.predict(np.zeros((2, 2, 6)))  # wrong rank
+
+    def test_ffi_call_accounting(self, small_model):
+        model = compile_model(small_model)
+        try:
+            assert model.ffi_calls == 0
+            model.predict(np.zeros((10, 6)))
+            assert model.ffi_calls == 1       # one call for the batch
+            model.predict_one(np.zeros(6))
+            assert model.ffi_calls == 2       # one call for one row
+        finally:
+            model.close()
+
+    def test_exactly_one_ffi_call_per_microbatch(self):
+        # end to end through the serving batcher: each micro-batch the
+        # worker evaluates is exactly one native call
+        t3 = T3Model(self_check_model(), T3Config(compile_to_native=True))
+        assert t3.backend is PredictionBackend.COMPILED
+        compiled = t3._compiled
+        batcher = MicroBatcher(t3.predict_raw_batch, max_batch_rows=64,
+                               max_wait_s=0.005)
+        try:
+            before = compiled.ffi_calls
+            rows = np.random.default_rng(3).normal(
+                size=(24, t3.booster.n_features))
+            results = []
+            threads = [threading.Thread(
+                target=lambda r=row: results.append(
+                    batcher.submit(r.reshape(1, -1))))
+                for row in rows]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            stats = batcher.stats()
+            assert stats.requests == 24
+            assert stats.batches >= 1
+            assert compiled.ffi_calls - before == stats.batches
+            assert len(results) == 24
+        finally:
+            batcher.close()
+            t3.close()
 
     def test_compiled_is_faster_than_python_scalar(self, small_model, compiled):
         import time
@@ -150,3 +255,76 @@ class TestInterpreters:
         x = np.zeros(6)
         assert InterpretedModel(small_model).predict(x).shape == (1,)
         assert PythonScalarModel(small_model).predict(x).shape == (1,)
+
+    def test_interpreted_backends_agree(self, small_model):
+        X = np.random.default_rng(8).uniform(-5, 15, size=(400, 6))
+        reference = InterpretedModel(small_model).predict(X)
+        assert np.array_equal(PythonScalarModel(small_model).predict(X),
+                              reference)
+        mt = MultiThreadedInterpretedModel(small_model)
+        try:
+            assert np.array_equal(mt.predict(X), reference)
+        finally:
+            mt.close()
+
+    def test_empty_batch(self, small_model):
+        empty = np.empty((0, 6))
+        for backend in (PythonScalarModel(small_model),
+                        InterpretedModel(small_model)):
+            out = backend.predict(empty)
+            assert out.shape == (0,) and out.dtype == np.float64
+        mt = MultiThreadedInterpretedModel(small_model)
+        try:
+            assert mt.predict(empty).shape == (0,)
+        finally:
+            mt.close()
+
+
+class TestCompilerInfoMemoized:
+    def test_shells_out_exactly_once(self, monkeypatch):
+        calls = []
+        real_run = compiler_mod.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(compiler_mod.subprocess, "run", counting_run)
+        compiler_info.cache_clear()
+        try:
+            first = compiler_info()
+            second = compiler_info()
+            assert first == second
+            assert len(calls) <= 1   # 0 when no compiler is installed
+        finally:
+            compiler_info.cache_clear()  # drop result built under the patch
+
+
+@needs_cc
+class TestPersistedModel:
+    @pytest.mark.parametrize(
+        "legacy_codegen", ["nested_if", "flat_array", "flat_array_f32", None],
+        ids=["nested_if", "flat_array", "flat_array_f32", "missing"])
+    def test_legacy_payload_defaults_to_nested_if(self, tmp_path,
+                                                  legacy_codegen):
+        # Older versions wrote a "codegen" field naming one of several
+        # C emitters (or none at all); load ignores it and compiles
+        # with the one emitter.
+        model = T3Model(self_check_model(), T3Config(compile_to_native=False))
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text())
+        assert "codegen" not in payload
+        if legacy_codegen is not None:
+            payload["codegen"] = legacy_codegen
+        path.write_text(json.dumps(payload))
+        loaded = T3Model.load(path)
+        try:
+            assert loaded.backend is PredictionBackend.COMPILED
+            assert loaded.model_digest() == model.model_digest()
+            X = np.random.default_rng(9).normal(
+                size=(64, loaded.booster.n_features))
+            assert np.array_equal(loaded._compiled.predict(X),
+                                  InterpretedModel(model.booster).predict(X))
+        finally:
+            loaded.close()
