@@ -52,7 +52,14 @@ def cardenas(n_distinct: float, n_rows: float) -> float:
 
 
 class CardinalityModel:
-    """Provides output cardinalities for physical operators (memoized)."""
+    """Provides output cardinalities for physical operators (memoized).
+
+    Use one model per plan or request (or per offline build job) and
+    then drop it. The memo pins every operator it has answered for (see
+    ``__init__``), so a model kept across requests keeps every plan it
+    ever saw alive: memory grows without bound, and each full GC pass
+    walks all of it.
+    """
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog

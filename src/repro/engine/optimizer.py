@@ -80,23 +80,38 @@ class OptimizerConfig:
 
 
 class Optimizer:
-    """Lowers logical plans over one database instance to physical plans."""
+    """Lowers logical plans over one database instance to physical plans.
+
+    An optimizer holds only its schema, catalog and config. Each
+    :meth:`optimize` call lowers through its own :class:`_Lowering`,
+    whose estimated-cardinality memo dies with the call: concurrent
+    calls share no mutable state, and a returned plan is not pinned by
+    the optimizer that built it.
+    """
 
     def __init__(self, schema: DatabaseSchema, catalog: Catalog,
                  config: Optional[OptimizerConfig] = None):
         self.schema = schema
         self.catalog = catalog
         self.config = config or OptimizerConfig()
-        self._estimator = EstimatedCardinalityModel(catalog)
-
-    # -- public API ------------------------------------------------------
 
     def optimize(self, plan: LogicalNode, query_name: str = "") -> PhysicalPlan:
         """Produce a physical plan for ``plan``."""
-        required = _collect_required_columns(plan)
-        self._estimator.reset()
-        root = self._lower(plan, required)
+        root = _Lowering(self, _collect_required_columns(plan))._lower(plan)
         return PhysicalPlan(root, self.schema.name, query_name)
+
+
+class _Lowering:
+    """State of one :meth:`Optimizer.optimize` call: the columns the
+    query references and the estimator memo over the operators built
+    so far (the memo pins them, see :class:`CardinalityModel`)."""
+
+    def __init__(self, optimizer: Optimizer, required: Dict[str, Set[str]]):
+        self.schema = optimizer.schema
+        self.catalog = optimizer.catalog
+        self.config = optimizer.config
+        self.required = required
+        self._estimator = EstimatedCardinalityModel(optimizer.catalog)
 
     # -- helpers -----------------------------------------------------------
 
@@ -113,46 +128,44 @@ class Optimizer:
 
     # -- lowering ----------------------------------------------------------
 
-    def _lower(self, node: LogicalNode,
-               required: Dict[str, Set[str]]) -> PhysicalOperator:
+    def _lower(self, node: LogicalNode) -> PhysicalOperator:
         if isinstance(node, LogicalScan):
-            return self._lower_scan(node, required)
+            return self._lower_scan(node)
         if isinstance(node, LogicalJoin):
-            return self._lower_join(node, required)
+            return self._lower_join(node)
         if isinstance(node, LogicalGroupBy):
-            return self._lower_group_by(node, required)
+            return self._lower_group_by(node)
         if isinstance(node, LogicalSort):
-            child = self._lower(node.input, required)
+            child = self._lower(node.input)
             return PSort(child, list(node.keys))
         if isinstance(node, LogicalTopK):
-            child = self._lower(node.input, required)
+            child = self._lower(node.input)
             return PTopK(child, list(node.keys), node.k)
         if isinstance(node, LogicalLimit):
-            child = self._lower(node.input, required)
+            child = self._lower(node.input)
             if isinstance(child, PSort):
                 return PTopK(child.children[0], child.keys, node.k)
             return PLimit(child, node.k)
         if isinstance(node, LogicalProject):
-            return self._lower_project(node, required)
+            return self._lower_project(node)
         if isinstance(node, LogicalWindow):
-            child = self._lower(node.input, required)
+            child = self._lower(node.input)
             out_columns = child.output_columns + [(COMPUTED, node.function)]
             return PWindow(child, list(node.partition_columns),
                            list(node.order_columns), node.function,
                            out_columns, self._width_of(out_columns))
         if isinstance(node, LogicalDistinct):
-            child = self._lower(node.input, required)
+            child = self._lower(node.input)
             return PDistinct(child, list(node.columns))
         if isinstance(node, LogicalUnion):
-            left = self._lower(node.left, required)
-            right = self._lower(node.right, required)
+            left = self._lower(node.left)
+            right = self._lower(node.right)
             return PUnion(left, right)
         raise PlanError(f"cannot lower logical node {type(node).__name__}")
 
-    def _lower_scan(self, node: LogicalScan,
-                    required: Dict[str, Set[str]]) -> PTableScan:
+    def _lower_scan(self, node: LogicalScan) -> PTableScan:
         table = self.schema.table(node.table)
-        needed = required.get(node.table) or set(table.column_names)
+        needed = self.required.get(node.table) or set(table.column_names)
         columns = [(node.table, c) for c in table.column_names if c in needed]
         if not columns:
             columns = [(node.table, table.column_names[0])]
@@ -164,8 +177,7 @@ class Optimizer:
         return PTableScan(node.table, predicates, node.correlation_factor,
                           columns, width, scan_byte_width=width)
 
-    def _lower_join(self, node: LogicalJoin,
-                    required: Dict[str, Set[str]]) -> PhysicalOperator:
+    def _lower_join(self, node: LogicalJoin) -> PhysicalOperator:
         edge = node.edge
         config = self.config
         # Small-table elimination: inner joins against tiny base tables
@@ -180,12 +192,12 @@ class Optimizer:
                      (edge.right_table, edge.right_column),
                      (edge.left_table, edge.left_column))):
                 eliminated = self._try_eliminate_small_table(
-                    small_side, keep_side, small_col, keep_col, required)
+                    small_side, keep_side, small_col, keep_col)
                 if eliminated is not None:
                     return eliminated
 
-        left = self._lower(node.left, required)
-        right = self._lower(node.right, required)
+        left = self._lower(node.left)
+        right = self._lower(node.right)
 
         left_col: ColumnRef = (edge.left_table, edge.left_column)
         right_col: ColumnRef = (edge.right_table, edge.right_column)
@@ -226,8 +238,8 @@ class Optimizer:
 
     def _try_eliminate_small_table(
             self, small_side: LogicalNode, keep_side: LogicalNode,
-            small_col: ColumnRef, keep_col: ColumnRef,
-            required: Dict[str, Set[str]]) -> Optional[PhysicalOperator]:
+            small_col: ColumnRef, keep_col: ColumnRef
+            ) -> Optional[PhysicalOperator]:
         """Replace a join with a tiny filtered table by IN predicates."""
         if not isinstance(small_side, LogicalScan):
             return None
@@ -241,7 +253,7 @@ class Optimizer:
             return None
         # Columns of the small table must not be needed upstream (beyond
         # the join key and the scan's own filter columns).
-        needed = set(required.get(table, set()))
+        needed = set(self.required.get(table, set()))
         needed.discard(small_col[1])
         for predicate in small_side.predicates:
             needed -= _predicate_columns(predicate)
@@ -251,7 +263,7 @@ class Optimizer:
         exact_keys = self._qualifying_keys(small_side, small_col)
         if exact_keys is None:
             return None
-        lowered = self._lower(keep_side, required)
+        lowered = self._lower(keep_side)
         keep_table, keep_column = keep_col
         predicates: List[Predicate] = []
         if len(exact_keys) > 1:
@@ -284,9 +296,8 @@ class Optimizer:
                        for i in range(n_qualifying)})
         return [float(k) for k in keys]
 
-    def _lower_group_by(self, node: LogicalGroupBy,
-                        required: Dict[str, Set[str]]) -> PhysicalOperator:
-        child = self._lower(node.input, required)
+    def _lower_group_by(self, node: LogicalGroupBy) -> PhysicalOperator:
+        child = self._lower(node.input)
         agg_columns: List[ColumnRef] = [
             (COMPUTED, f"agg_{i}") for i in range(len(node.aggregates))]
         if not node.group_columns:
@@ -297,9 +308,8 @@ class Optimizer:
         return PGroupBy(child, node.group_columns, node.aggregates,
                         out_columns, self._width_of(out_columns))
 
-    def _lower_project(self, node: LogicalProject,
-                       required: Dict[str, Set[str]]) -> PhysicalOperator:
-        child = self._lower(node.input, required)
+    def _lower_project(self, node: LogicalProject) -> PhysicalOperator:
+        child = self._lower(node.input)
         if not node.computed:
             # Pure column pruning is free in a push-based engine; the
             # pruning already happened via required-column analysis.

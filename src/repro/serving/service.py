@@ -221,9 +221,6 @@ class PredictionService:
         self._batchers_lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
-        self._optimizers: Dict[str, Tuple[Optimizer, ExactCardinalityModel]]
-        self._optimizers = {}
-        self._optimizers_lock = threading.Lock()
         #: Attached LifecycleManager (duck-typed — serving never
         #: imports repro.lifecycle; the dependency points the other way).
         self._lifecycle = None
@@ -520,15 +517,16 @@ class PredictionService:
         return self._breaker_for(entry).state
 
     def invalidate_instance(self, instance: str) -> int:
-        """Drop cached plans/optimizers for ``instance`` (stats shift).
+        """Drop cached plans for ``instance`` (stats shift).
 
         Returns how many plan-cache entries were dropped. Must be
         called when an instance's statistics change under the service
         (e.g. a drift scenario flipping regimes), otherwise predictions
-        keep using plans optimized against the stale catalog.
+        keep using plans optimized against the stale catalog. The plan
+        cache is the only per-instance state: every miss builds its
+        optimizer and cardinality model afresh from the resolved
+        instance.
         """
-        with self._optimizers_lock:
-            self._optimizers.pop(instance, None)
         return self._plan_cache.drop_where(
             lambda key: key[1] == instance)
 
@@ -660,14 +658,16 @@ class PredictionService:
             vectors, cards = cached
             return vectors, cards, 0.0, 0.0, True
         parse_started = time.perf_counter()
-        optimizer, card_model = self._optimizer_for(instance)
         inst = self._instance(instance)
         logical = parse_sql(sql, inst.schema, inst.catalog)
-        plan = optimizer.optimize(logical, "serving_query")
+        plan = Optimizer(inst.schema, inst.catalog).optimize(
+            logical, "serving_query")
         parse_s = time.perf_counter() - parse_started
         featurize_started = time.perf_counter()
+        # One cardinality model per miss: its memo pins the plan's
+        # operators and dies with this request.
         vectors, cards = entry.model.registry.vectors_for_plan(
-            plan, card_model)
+            plan, ExactCardinalityModel(inst.catalog))
         if entry.model.config.target_mode is TargetMode.PER_QUERY:
             vectors = vectors.sum(axis=0, keepdims=True)
             cards = None
@@ -685,18 +685,6 @@ class PredictionService:
         except (SchemaError, KeyError, LookupError) as exc:
             raise InstanceNotFoundError(
                 f"unknown instance {name!r}: {exc}") from exc
-
-    def _optimizer_for(self, instance: str):
-        with self._optimizers_lock:
-            cached = self._optimizers.get(instance)
-        if cached is None:
-            inst = self._instance(instance)
-            cached = (Optimizer(inst.schema, inst.catalog),
-                      ExactCardinalityModel(inst.catalog))
-            with self._optimizers_lock:
-                # First builder wins so every thread shares one optimizer.
-                cached = self._optimizers.setdefault(instance, cached)
-        return cached
 
     def _batcher_for(self, entry: ModelEntry) -> MicroBatcher:
         with self._batchers_lock:

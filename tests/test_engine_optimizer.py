@@ -1,5 +1,8 @@
 """Tests for the rule-based optimizer."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.engine.cardinality import EstimatedCardinalityModel, ExactCardinalityModel
@@ -179,3 +182,21 @@ class TestPlanMetadata:
                               _edge(toy_instance, "orders", "customer"))
         plan = optimizer.optimize(logical)
         assert set(plan.base_tables()) == {"orders", "customer"}
+
+
+class TestObjectLifetime:
+    def test_optimizer_pins_no_plan(self, optimizer, toy_instance):
+        """The estimator memo lives for one ``optimize()`` call: once the
+        caller drops a plan, none of its operators survive, even while
+        the optimizer that built it is still alive."""
+        logical = LogicalJoin(LogicalScan("orders"), LogicalScan("customer"),
+                              _edge(toy_instance, "orders", "customer"))
+        plan = optimizer.optimize(logical)
+        assert isinstance(plan.root, PHashJoin)   # children were estimated
+        refs = [weakref.ref(op) for op in plan.root.walk()]
+        root = refs[0]
+        assert root() is plan.root
+        del plan
+        gc.collect()
+        assert root() is None
+        assert [ref() for ref in refs] == [None] * len(refs)

@@ -1,5 +1,6 @@
 """Tests for the online serving stack: cache, batcher, registry, service."""
 
+import gc
 import threading
 import time
 
@@ -17,6 +18,7 @@ from repro.errors import (
 from repro.core.model import T3Config, T3Model
 from repro.engine.cardinality import ExactCardinalityModel
 from repro.engine.optimizer import Optimizer
+from repro.engine.physical import PhysicalOperator
 from repro.engine.sqlparser import parse_sql
 from repro.serving import (
     LRUCache,
@@ -547,3 +549,139 @@ class TestPredictionService:
         batches = service.metrics.get("t3_serving_batches_total").value
         # 1 warmup batch + coalesced concurrent batches: fewer than 1 + 8
         assert batches < 9
+
+
+# ---------------------------------------------------------------------------
+# The cold path: request-scoped memos, bit-identical answers
+# ---------------------------------------------------------------------------
+
+
+#: Seven toy-instance templates: scans, 2- and 3-way joins, GROUP BY.
+_TEMPLATES = (
+    "SELECT count(*) FROM orders WHERE o_total <= {v}",
+    "SELECT count(*) FROM item WHERE i_price <= {w}",
+    "SELECT count(*) FROM customer WHERE c_balance > {v}",
+    "SELECT count(*) FROM orders, customer "
+    "WHERE o_cust = c_id AND o_total <= {v}",
+    "SELECT count(*) FROM orders, customer, item "
+    "WHERE o_cust = c_id AND o_item = i_id AND i_price <= {w}",
+    "SELECT o_status, count(*) FROM orders WHERE o_total <= {v} "
+    "GROUP BY o_status",
+    "SELECT c_nation, count(*) FROM orders, customer "
+    "WHERE o_cust = c_id AND c_balance > {v} GROUP BY c_nation",
+)
+
+
+def _statements(count: int):
+    """``count`` distinct toy statements cycling through the templates."""
+    return [_TEMPLATES[i % len(_TEMPLATES)].format(
+                v=100 + 37 * i, w=1 + (i % 490))
+            for i in range(count)]
+
+
+def _live_operators() -> int:
+    gc.collect()
+    return sum(isinstance(obj, PhysicalOperator) for obj in gc.get_objects())
+
+
+def _reference_features(model, instance, sql):
+    """The offline path: parse, a fresh optimizer, a fresh exact model."""
+    logical = parse_sql(sql, instance.schema, instance.catalog)
+    plan = Optimizer(instance.schema, instance.catalog).optimize(
+        logical, "reference")
+    return model.registry.vectors_for_plan(
+        plan, ExactCardinalityModel(instance.catalog))
+
+
+class TestColdPath:
+    STATEMENTS = _statements(70)
+
+    def _service(self, toy_model, resolver, cache_size=1024,
+                 batch_wait_s=0.001):
+        registry = ModelRegistry()
+        registry.register(toy_model, "m")
+        return PredictionService(
+            registry, ServingConfig(plan_cache_size=cache_size,
+                                    batch_wait_s=batch_wait_s),
+            instance_resolver=resolver)
+
+    def _assert_cached_match_reference(self, service, toy_model,
+                                       toy_instance):
+        key = service.registry.get("m").key
+        for sql in self.STATEMENTS:
+            vectors, cards = service._plan_cache.get(
+                (key, "toy", normalize_sql(sql)))
+            ref_vectors, ref_cards = _reference_features(
+                toy_model, toy_instance, sql)
+            assert np.array_equal(vectors, ref_vectors), sql
+            assert np.array_equal(cards, ref_cards), sql
+
+    def test_service_retains_nothing_per_cold_request(self, toy_model,
+                                                      resolver):
+        service = self._service(toy_model, resolver, cache_size=1,
+                                batch_wait_s=0.0)
+        statements = _statements(200)
+        for sql in statements[:20]:
+            service.predict(sql, "toy")
+        after_20 = _live_operators()
+        for sql in statements[20:]:
+            assert not service.predict(sql, "toy").cache_hit
+        after_200 = _live_operators()
+        # 180 more cold requests must not leave 180 plans' operators behind.
+        assert after_200 <= after_20
+
+    def test_serial_cold_path_matches_reference(self, toy_model, resolver,
+                                                toy_instance):
+        service = self._service(toy_model, resolver)
+        for sql in self.STATEMENTS:
+            cold = service.predict(sql, "toy")
+            warm = service.predict(sql, "toy")
+            assert not cold.cache_hit and warm.cache_hit
+            assert warm.predicted_seconds == cold.predicted_seconds
+            assert warm.pipeline_seconds == cold.pipeline_seconds
+        self._assert_cached_match_reference(service, toy_model, toy_instance)
+
+    def test_predict_many_cold_path_matches_reference(self, toy_model,
+                                                      resolver, toy_instance):
+        service = self._service(toy_model, resolver)
+        requests = [(sql, "toy") for sql in self.STATEMENTS]
+        cold = service.predict_many(requests)
+        warm = service.predict_many(requests)
+        assert not any(r.cache_hit for r in cold)
+        assert all(r.cache_hit for r in warm)
+        assert ([r.predicted_seconds for r in warm]
+                == [r.predicted_seconds for r in cold])
+        self._assert_cached_match_reference(service, toy_model, toy_instance)
+
+    def test_concurrent_cold_path_matches_reference(self, toy_model,
+                                                    resolver, toy_instance):
+        service = self._service(toy_model, resolver)
+        n_threads = 4
+        results = [dict() for _ in range(n_threads)]
+        errors = []
+
+        def client(slot):
+            # Every thread walks all statements from a different offset,
+            # so threads race on the same cold statements.
+            shift = slot * len(self.STATEMENTS) // n_threads
+            order = self.STATEMENTS[shift:] + self.STATEMENTS[:shift]
+            try:
+                for sql in order:
+                    results[slot][sql] = service.predict(
+                        sql, "toy", timeout=30.0).predicted_seconds
+            except Exception as exc:   # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(slot,))
+                   for slot in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+        assert errors == []
+        self._assert_cached_match_reference(service, toy_model, toy_instance)
+        for sql in self.STATEMENTS:
+            warm = service.predict(sql, "toy")
+            assert warm.cache_hit
+            assert {r[sql] for r in results} == {warm.predicted_seconds}
