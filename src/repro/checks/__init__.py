@@ -1,6 +1,6 @@
 """Static-analysis subsystem: prove T3's invariants without running them.
 
-Eleven analyzers behind one driver (``repro-t3 check``):
+Nine analyzers behind one driver (``repro-t3 check``):
 
 * :mod:`~repro.checks.codegen_verify` — parse generated C back into a
   tree structure and verify structural equivalence with the trained
@@ -14,38 +14,40 @@ Eleven analyzers behind one driver (``repro-t3 check``):
   trained ensembles: dead branches, unreachable leaves, non-finite
   decodes, float32 near-ties (``EA...``),
 * :mod:`~repro.checks.concurrency` — CFG-based lock-discipline
-  dataflow over the multithreaded serving code (``LK...``),
-* :mod:`~repro.checks.lint` — project-wide conventions: typed errors,
-  no bare except, no mutable defaults, no print, seeded randomness
-  (``PL...``),
-* :mod:`~repro.checks.responsiveness` — unbounded blocking calls in
-  code that must stay shut-downable (``RT...``),
+  dataflow over the multithreaded serving code, plus unbounded
+  queue/future/thread waits that would make it unresponsive
+  (``LK...``),
 * :mod:`~repro.checks.determinism` — interprocedural taint from
   nondeterminism sources (clock, ``id()``, unseeded randomness, set
-  order) to seed-critical sinks (``DT...``),
+  order) to seed-critical sinks, and unseeded random calls outside
+  ``repro.rng`` (``DT...``),
 * :mod:`~repro.checks.exceptions` — exception-contract proof: public
-  boundaries raise only :class:`~repro.errors.ReproError` subtypes,
-  the HTTP envelope stays total, load-control errors are never
-  swallowed (``EX...``),
+  boundaries and library raises use only
+  :class:`~repro.errors.ReproError` subtypes, the HTTP envelope stays
+  total, load-control errors are never swallowed (``EX...``),
 * :mod:`~repro.checks.resources` — must-release analysis over
   exception edges for locks, futures, pools, handles, and breaker
   probe slots (``RS...``),
 * :mod:`~repro.checks.hotpath` — interprocedural cost summaries
-  propagated from configurable hot roots: per-element FFI round-trips,
-  accumulating allocation, per-item process fan-out, blocking under
-  locks, and hoistable loop-invariant work on the predict/featurize
-  paths (``HP...``).
+  propagated from the serving and inference hot roots: per-element FFI
+  round-trips, accumulating allocation, per-item process fan-out,
+  blocking under locks, and hoistable loop-invariant work on the
+  predict/featurize paths (``HP...``).
 
 Shared infrastructure lives in :mod:`~repro.checks.astutils` (AST
 loading and navigation helpers), :mod:`~repro.checks.cfg`
 (per-function control-flow graphs plus a generic forward-dataflow
 solver), :mod:`~repro.checks.callgraph` (project-wide call graph with
 layered call-target resolution), and :mod:`~repro.checks.interproc`
-(bottom-up per-function taint and may-raise summaries over the call
-graph). Findings carry ``file:line``, a stable rule id, and a
+(bottom-up per-function taint, may-raise, and cost summaries over the
+call graph). Findings carry ``file:line``, a stable rule id, and a
 severity; a TOML baseline (``checks_baseline.toml``) grandfathers known
 findings so the driver can gate CI on *new* ones only, and
 ``--format sarif`` renders the same findings for code-scanning upload.
+
+Generic Python hygiene (bare ``except``, mutable defaults, ``raise``
+without ``from`` in a handler, ``print`` in library code) is ruff's
+job; see ``[tool.ruff.lint]`` in ``pyproject.toml``.
 """
 
 from .callgraph import CallGraph, FunctionInfo, build_call_graph
@@ -71,7 +73,6 @@ from .interproc import (
     compute_raises_summaries,
     compute_taint_summaries,
 )
-from .lint import check_lint
 from .plan_invariants import check_plan_invariants
 from .resources import check_resource_lifecycles
 from .sarif import render_sarif
@@ -95,7 +96,6 @@ __all__ = [
     "check_exception_contracts",
     "check_feature_schema",
     "check_hotpath",
-    "check_lint",
     "check_lock_discipline",
     "check_plan_invariants",
     "check_resource_lifecycles",

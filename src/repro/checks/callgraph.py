@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .astutils import PACKAGE_ROOT, dotted_name, repo_relative
+from .astutils import PACKAGE_ROOT, repo_relative
 
 __all__ = ["CallGraph", "CallSite", "FunctionInfo", "ModuleInfo",
            "build_call_graph"]

@@ -1,4 +1,4 @@
-"""CFG-based lock-discipline analysis for the serving subsystem.
+"""CFG-based lock-discipline and responsiveness analysis for serving.
 
 PR 2 shipped a *lexical* lock checker: a ``with``-depth counter that
 could not see early returns, ``try/finally`` release patterns, or
@@ -12,8 +12,8 @@ of class-owned locks held at each event —
   guardedness, LK004/LK005 blocking-under-lock, LK008 re-acquire,
   LK003 ordering edges).
 * **may-held** (meet = union): a lock possibly held on *some* path.
-  Used where the bug is "might still be held" (LK006) or "might not be
-  held" (LK007).
+  Used where the bug is "might not be held" (LK007). "Might still be
+  held at exit" is the resource analyzer's RS001.
 
 Rules
 -----
@@ -24,9 +24,19 @@ LK003  lock-order inversion (lock A held acquiring B, and B held
 LK004  blocking call (``time.sleep``, ``subprocess.*``, ``.result()``,
        thread/process ``.join()``) while a lock is held
 LK005  ``await`` while holding a lock
-LK006  a lock may still be held when the function exits
 LK007  ``release()`` of a lock not held on any path
 LK008  re-acquiring a held non-reentrant ``Lock`` (self-deadlock)
+LK009  ``<queue>.get()`` with no timeout (and not ``block=False``)
+LK010  ``<future>.result()`` with no timeout
+LK011  ``<thread>.join()`` with no timeout
+
+LK009–LK011 guard responsiveness: a serving thread that blocks forever
+cannot shed load, honor a deadline, or drain on shutdown. They apply
+to every call in the scanned files, lock or no lock, and identify
+receivers by naming convention — a ``.get()`` on something called
+``*queue*`` is a :class:`queue.Queue`, not a dict. ``get_nowait`` and
+any call passing a non-``None`` timeout (positional or keyword) are
+bounded.
 
 Scope and soundness choices: ``__init__``/``__new__``/``__del__`` are
 single-threaded and exempt from attribute rules; nested functions and
@@ -53,7 +63,7 @@ from .astutils import (
     repo_relative,
     self_attr,
 )
-from .cfg import CFG, WithEnter, WithExit, build_cfg, forward_dataflow
+from .cfg import WithEnter, WithExit, build_cfg, forward_dataflow
 from .findings import Finding, Severity
 
 __all__ = ["AttributeAccess", "analyze_source", "check_lock_discipline"]
@@ -64,9 +74,6 @@ _DEFAULT_SCOPE = (PACKAGE_ROOT / "serving",)
 _LOCK_FACTORIES = {"Lock": False, "RLock": True, "Condition": True}
 
 _EXEMPT_METHODS = {"__init__", "__new__", "__del__"}
-
-#: Methods whose contract *is* "leave the lock held".
-_LK006_EXEMPT = {"__enter__", "acquire", "acquire_lock", "lock"}
 
 #: Methods whose contract is "the caller already holds the lock", so a
 #: release with no in-method acquire is the point, not a bug.
@@ -84,7 +91,10 @@ _BLOCKING_CALLS = {
 #: ``Condition`` methods that are coordination, not lock-state changes.
 _CONDITION_METHODS = {"wait", "wait_for", "notify", "notify_all"}
 
-_JOIN_RECEIVER_HINTS = ("thread", "worker", "proc", "process")
+#: Receiver-name fragments identifying each blocking receiver kind.
+_QUEUE_HINTS = ("queue",)
+_FUTURE_HINTS = ("future", "fut", "promise")
+_THREAD_HINTS = ("thread", "worker", "proc", "process")
 
 
 @dataclass(frozen=True)
@@ -215,14 +225,71 @@ def _blocking_calls(event: ast.AST,
         if func.attr == "result":
             out.append((node.lineno,
                         f"{receiver or '<expr>'}.result()"))
-        elif func.attr == "join":
-            if isinstance(func.value, ast.Constant):
-                continue  # str.join
-            if receiver is not None and any(
-                    hint in receiver.lower()
-                    for hint in _JOIN_RECEIVER_HINTS):
-                out.append((node.lineno, f"{receiver}.join()"))
+        elif func.attr == "join" and _matches(receiver, _THREAD_HINTS):
+            out.append((node.lineno, f"{receiver}.join()"))
     return out
+
+
+def _matches(name: Optional[str], hints: Sequence[str]) -> bool:
+    return name is not None and any(hint in name.lower() for hint in hints)
+
+
+def _is_none(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _has_timeout(call: ast.Call, positional_index: int) -> bool:
+    """True when the call passes a (non-``None``) timeout bound."""
+    if len(call.args) > positional_index and \
+            not _is_none(call.args[positional_index]):
+        return True
+    return any(keyword.arg == "timeout" and not _is_none(keyword.value)
+               for keyword in call.keywords)
+
+
+def _is_nonblocking_get(call: ast.Call) -> bool:
+    """``get(False)`` / ``get(block=False)`` return immediately."""
+    if call.args and isinstance(call.args[0], ast.Constant) \
+            and call.args[0].value is False:
+        return True
+    return any(keyword.arg == "block"
+               and isinstance(keyword.value, ast.Constant)
+               and keyword.value.value is False
+               for keyword in call.keywords)
+
+
+def _unbounded_wait(call: ast.Call, rel: str) -> Optional[Finding]:
+    """LK009–LK011: a queue/future/thread wait with no timeout."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    receiver = _receiver_name(func.value)
+    if func.attr == "get" and _matches(receiver, _QUEUE_HINTS):
+        # Queue.get(block=True, timeout=None): timeout is positional 1.
+        if _is_nonblocking_get(call) or _has_timeout(call, 1):
+            return None
+        return Finding(
+            "LK009", Severity.ERROR, rel, call.lineno,
+            f"{receiver}.get() blocks forever without a timeout; a "
+            f"wedged producer leaves this thread unresponsive to "
+            f"shutdown and deadlines — use get(timeout=...) in a loop")
+    if func.attr == "result" and _matches(receiver, _FUTURE_HINTS):
+        if _has_timeout(call, 0):
+            return None
+        return Finding(
+            "LK010", Severity.ERROR, rel, call.lineno,
+            f"{receiver}.result() blocks forever without a timeout; a "
+            f"lost worker leaves the caller waiting indefinitely — "
+            f"pass result(timeout=...)")
+    if func.attr == "join" and _matches(receiver, _THREAD_HINTS):
+        if _has_timeout(call, 0):
+            return None
+        return Finding(
+            "LK011", Severity.ERROR, rel, call.lineno,
+            f"{receiver}.join() blocks forever without a timeout; a "
+            f"hung thread turns shutdown into a hang — pass "
+            f"join(timeout=...) and handle the still-alive case")
+    return None
 
 
 def _awaits(event: ast.AST) -> List[int]:
@@ -341,8 +408,6 @@ class _ClassAnalysis:
                 must_state = transfer(must_state, event)
                 may_state = transfer(may_state, event)
 
-        self._check_exit(may[CFG.EXIT], func, method)
-
     def _check_event(self, event: object, must_state: FrozenSet[str],
                      may_state: FrozenSet[str], method: str) -> None:
         for op in _event_lock_ops(event, self.locks):
@@ -391,18 +456,6 @@ class _ClassAnalysis:
         if isinstance(event, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Closures escape the lock scope: fresh CFG, empty lockset.
             self.analyze_function(event, f"{method}.<{event.name}>")
-
-    def _check_exit(self, exit_state: FrozenSet[str], func: ast.AST,
-                    method: str) -> None:
-        simple_name = method.rsplit(".", 1)[-1].strip("<>")
-        if simple_name in _LK006_EXEMPT | _LK007_EXEMPT:
-            return
-        for attr in sorted(exit_state):
-            self.findings.append(Finding(
-                "LK006", Severity.WARNING, self.rel,
-                getattr(func, "lineno", 0),
-                f"{self.cls_name}.{method}() may exit with self.{attr} "
-                f"still held (no release on at least one path)"))
 
     # -- class-level verdicts ------------------------------------------------
 
@@ -462,7 +515,7 @@ class _ClassAnalysis:
 # -- entry points ------------------------------------------------------------
 
 def analyze_source(source: str, path: str) -> List[Finding]:
-    """Analyze every lock-owning class in one source file."""
+    """Analyze every lock-owning class and every wait in one file."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -470,6 +523,11 @@ def analyze_source(source: str, path: str) -> List[Finding]:
     rel = repo_relative(path) if Path(path).exists() else path
     findings: List[Finding] = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            finding = _unbounded_wait(node, rel)
+            if finding is not None:
+                findings.append(finding)
+            continue
         if not isinstance(node, ast.ClassDef):
             continue
         locks = _class_locks(node)

@@ -14,13 +14,16 @@ Two lexical rules ride along: DT002 also fires on ``id()`` used as the
 key of a *persistent* container without pinning the keyed object in
 the stored value (the PR 4 ``CardinalityModel`` bug: CPython reuses
 addresses after GC, so an unpinned ``id()`` key can alias two distinct
-objects across a run), and DT003 fires on any stdlib ``random`` call
-outside ``repro.rng`` regardless of where the value flows.
+objects across a run), and DT003 fires on any unseeded random call
+outside ``repro.rng`` regardless of where the value flows: stdlib
+``random``, numpy's legacy module-level ``np.random.*`` functions
+(global state), and an argument-less ``np.random.default_rng()``
+(OS entropy).
 
 =====  ========================================================
 DT001  wall-clock value reaches a seed-critical sink
 DT002  id() used as persistent key without pinning / reaches sink
-DT003  stdlib random call outside repro.rng
+DT003  unseeded random call (stdlib / numpy) outside repro.rng
 DT004  OS entropy (urandom/uuid4/secrets) reaches a sink
 DT005  builtin hash() value reaches a sink
 DT006  set iteration order reaches a sink
@@ -38,8 +41,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .astutils import dotted_name, self_attr
-from .callgraph import CallGraph, FunctionInfo, build_call_graph, \
-    iter_own_statements
+from .callgraph import CallGraph, FunctionInfo, build_call_graph
 from .findings import Finding, Severity
 from .interproc import SINK_NAMES, SOURCE_KINDS, classify_source, \
     compute_taint_summaries
@@ -106,7 +108,7 @@ def _random_call_findings(graph: CallGraph) -> List[Finding]:
                     classify_source(node) == "random":
                 findings.append(Finding(
                     "DT003", Severity.ERROR, module.rel_path, node.lineno,
-                    f"stdlib random call "
+                    f"unseeded random call "
                     f"{dotted_name(node.func) or '<random>'}() outside "
                     f"repro.rng; use derive_rng()/make_rng() so the draw "
                     f"is seeded and replayable"))

@@ -33,10 +33,8 @@ from .findings import (
     render_text,
 )
 from .hotpath import check_hotpath
-from .lint import check_lint
 from .plan_invariants import check_plan_invariants
 from .resources import check_resource_lifecycles
-from .responsiveness import check_responsiveness
 from .sarif import render_sarif
 
 __all__ = ["ANALYZERS", "RULES", "CheckOptions", "CheckReport",
@@ -55,7 +53,8 @@ RULES: Dict[str, str] = {
     "DT000": "determinism-taint analyzer could not run",
     "DT001": "wall-clock value reaches a seed-critical sink",
     "DT002": "id() key of a persistent container without pinning the object",
-    "DT003": "stdlib random call outside repro.rng",
+    "DT003": "unseeded random call (stdlib random, legacy np.random, "
+             "argument-less default_rng) outside repro.rng",
     "DT004": "OS entropy (urandom/uuid/secrets) reaches a sink",
     "DT005": "builtin hash() value reaches a sink",
     "DT006": "set iteration order reaches a sink",
@@ -88,10 +87,10 @@ RULES: Dict[str, str] = {
     "EX000": "exception-contract analyzer could not run",
     "EX001": "public boundary function may raise a non-ReproError type",
     "EX002": "except BaseException without re-raise",
-    "EX003": "raise inside an except handler without 'from'",
     "EX004": "ServingError subclass with no envelope in error_response",
     "EX005": "broad handler swallows load-control errors",
     "EX006": "raising the bare ReproError/ServingError base class",
+    "EX007": "library code raises a type outside the ReproError hierarchy",
     "FS000": "feature-schema detector could not run",
     "FS001": "feature emitted by the extractor but never declared",
     "FS002": "feature declared but never emitted",
@@ -106,19 +105,19 @@ RULES: Dict[str, str] = {
     "HP004": "blocking IO/subprocess/sleep while holding a lock on a hot path",
     "HP005": "loop-invariant pure call re-evaluated inside a hot loop",
     "HP006": "loop-invariant label/f-string formatting inside a hot loop",
-    "HP007": "exception-as-control-flow per iteration in a hot loop",
     "HP008": "O(n) list membership test inside a hot loop",
     "HP009": "loop-invariant attribute chain re-resolved inside a hot loop",
-    "HP010": "known-slow stdlib call (pickle/re.compile/json) on a hot path",
     "LK000": "concurrency checker could not run",
     "LK001": "attribute guarded elsewhere but accessed with no lock held",
     "LK002": "shared mutable attribute never accessed under a lock",
     "LK003": "lock-order inversion between two locks of one class",
     "LK004": "blocking call while holding a lock",
     "LK005": "await while holding a lock",
-    "LK006": "lock may still be held when the function exits",
     "LK007": "release of a lock not held on any path",
     "LK008": "re-acquiring a held non-reentrant lock (self-deadlock)",
+    "LK009": "queue get() with no timeout (unbounded block)",
+    "LK010": "future result() with no timeout (unbounded block)",
+    "LK011": "thread join() with no timeout (unbounded block)",
     "PI000": "plan-invariant verifier could not run",
     "PI001": "operator missing stage declaration or physical class",
     "PI002": "operator declared both binary and materializing",
@@ -132,12 +131,6 @@ RULES: Dict[str, str] = {
     "PI010": "expression percentages do not partition the classes",
     "PI011": "cardinality model missing non-negativity/selectivity clamp",
     "PI012": "target-transform bounds not finite or clip missing",
-    "PL000": "project lint could not run",
-    "PL001": "untyped raise in library code",
-    "PL002": "bare except",
-    "PL003": "mutable default argument",
-    "PL004": "print() in library code",
-    "PL005": "unseeded numpy.random outside rng.py",
     "RS000": "resource-lifecycle analyzer could not run",
     "RS001": "manually acquired lock may still be held at exit",
     "RS002": "lock released only on the normal path (exception-unsafe)",
@@ -147,10 +140,6 @@ RULES: Dict[str, str] = {
     "RS006": "breaker probe slot not repaid by record_* on every path",
     "RS007": "socket not released on every path",
     "RS008": "temporary file/directory not released on every path",
-    "RT000": "responsiveness checker could not run",
-    "RT001": "queue get() with no timeout (unbounded block)",
-    "RT002": "future result() with no timeout (unbounded block)",
-    "RT003": "thread join() with no timeout (unbounded block)",
 }
 
 
@@ -272,57 +261,31 @@ ANALYZERS: Dict[str, Tuple[str, Callable[[CheckOptions], List[Finding]]]] = {
     "plan-invariants": ("PI", lambda opts: check_plan_invariants()),
     "ensemble": ("EA", _run_ensemble),
     "concurrency": ("LK", lambda opts: check_lock_discipline()),
-    "lint": ("PL", lambda opts: check_lint()),
-    "responsiveness": ("RT", lambda opts: check_responsiveness()),
     "determinism": ("DT", lambda opts: check_determinism()),
     "exceptions": ("EX", lambda opts: check_exception_contracts()),
     "resources": ("RS", lambda opts: check_resource_lifecycles()),
     "hotpath": ("HP", lambda opts: check_hotpath()),
 }
 
-#: analyzers whose first step is building the shared call graph; a
-#: parallel run warms the graph cache once before dispatching them.
-_INTERPROCEDURAL = frozenset({"determinism", "exceptions", "resources",
-                              "hotpath"})
+def _selected_analyzers(rules: Optional[Sequence[str]]) -> List[str]:
+    """Names of the analyzers a ``--rule`` selection touches.
 
-
-def _selected_analyzers(rules: Optional[Sequence[str]],
-                        only: Optional[Sequence[str]] = None
-                        ) -> Dict[str, bool]:
-    """Which analyzers a ``--rule``/``--only`` selection touches.
-
-    ``only`` selects whole analyzers by name (``determinism``) or rule
-    prefix (``DT``); ``rules`` narrows to individual rule ids.  Both
-    empty means everything.
+    A rule id (``LK001``) selects its analyzer, an analyzer prefix
+    (``DT``) the whole analyzer; no rules means everything.
     """
-    prefix_to_name = {prefix: name
-                      for name, (prefix, _) in ANALYZERS.items()}
-    selected = {name: True for name in ANALYZERS}
-    if only:
-        chosen = set()
-        for token in only:
-            if token in ANALYZERS:
-                chosen.add(token)
-            elif token.upper() in prefix_to_name:
-                chosen.add(prefix_to_name[token.upper()])
-            else:
-                raise CheckError(
-                    f"unknown analyzer {token!r}; known analyzers: "
-                    f"{', '.join(sorted(ANALYZERS))} "
-                    f"(or prefixes {', '.join(sorted(prefix_to_name))})")
-        selected = {name: name in chosen for name in ANALYZERS}
-    if rules:
-        prefixes = {rule[:2].upper() for rule in rules}
-        unknown = [rule for rule in rules
-                   if rule.upper() not in RULES
-                   and rule[:2].upper() not in prefix_to_name]
-        if unknown:
-            raise CheckError(
-                f"unknown rule(s) {', '.join(sorted(unknown))}; "
-                f"known rules: {', '.join(sorted(RULES))}")
-        selected = {name: selected[name] and prefix in prefixes
-                    for name, (prefix, _) in ANALYZERS.items()}
-    return selected
+    if not rules:
+        return list(ANALYZERS)
+    prefixes = {prefix for prefix, _ in ANALYZERS.values()}
+    unknown = [rule for rule in rules
+               if rule.upper() not in RULES
+               and rule[:2].upper() not in prefixes]
+    if unknown:
+        raise CheckError(
+            f"unknown rule(s) {', '.join(sorted(unknown))}; "
+            f"known rules: {', '.join(sorted(RULES))}")
+    wanted = {rule[:2].upper() for rule in rules}
+    return [name for name, (prefix, _) in ANALYZERS.items()
+            if prefix in wanted]
 
 
 def _run_one(name: str, prefix: str,
@@ -351,59 +314,32 @@ def _run_one(name: str, prefix: str,
 def run_checks(rules: Optional[Sequence[str]] = None,
                baseline: Optional[Union[str, Path, Baseline]] = None,
                model_path: Optional[str] = None,
-               check_unused_features: bool = False,
-               only: Optional[Sequence[str]] = None,
-               jobs: int = 1) -> CheckReport:
+               check_unused_features: bool = False) -> CheckReport:
     """Run the selected analyzers and apply the baseline.
 
     ``rules`` filters by full id (``LK001``) or analyzer prefix
-    (``LK``); ``only`` selects whole analyzers by name or prefix; empty
-    means everything. ``baseline`` may be a path or a loaded
-    :class:`Baseline`. ``model_path`` feeds the codegen verifier, the
-    ensemble analyzer, and the schema drift detector a persisted model
-    to cross-check; ``check_unused_features`` additionally turns on
-    EA006 for that model. ``jobs`` > 1 runs analyzers concurrently in
-    threads; findings are still reported in the fixed analyzer order,
-    so output is deterministic regardless of scheduling.
+    (``LK``); empty means everything. ``baseline`` may be a path or a
+    loaded :class:`Baseline`. ``model_path`` feeds the codegen
+    verifier, the ensemble analyzer, and the schema drift detector a
+    persisted model to cross-check; ``check_unused_features``
+    additionally turns on EA006 for that model.
     """
     started = time.perf_counter()
-    selected = _selected_analyzers(rules, only)
-    wanted = {rule.upper() for rule in rules} if rules else None
+    analyzers_run = _selected_analyzers(rules)
     opts = CheckOptions(model_path=model_path,
                         check_unused_features=check_unused_features)
-    if jobs < 1:
-        raise CheckError(f"jobs must be >= 1, got {jobs}")
 
-    to_run = [(name, prefix, runner)
-              for name, (prefix, runner) in ANALYZERS.items()
-              if selected[name]]
-    analyzers_run = [name for name, _, _ in to_run]
     findings: List[Finding] = []
     timings: Dict[str, float] = {}
-    if jobs > 1 and len(to_run) > 1:
-        if any(name in _INTERPROCEDURAL for name, _, _ in to_run):
-            # Warm the shared call-graph cache serially: otherwise the
-            # three interprocedural analyzers would each build it.
-            from .callgraph import build_call_graph
-            build_call_graph()
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(jobs, len(to_run)),
-                                thread_name_prefix="repro-check") as pool:
-            futures = [pool.submit(_run_one, name, prefix, runner, opts)
-                       for name, prefix, runner in to_run]
-            for (name, _, _), future in zip(to_run, futures):
-                produced, seconds = future.result()
-                timings[name] = seconds
-                findings.extend(produced)
-    else:
-        for name, prefix, runner in to_run:
-            produced, seconds = _run_one(name, prefix, runner, opts)
-            timings[name] = seconds
-            findings.extend(produced)
+    for name in analyzers_run:
+        prefix, runner = ANALYZERS[name]
+        produced, timings[name] = _run_one(name, prefix, runner, opts)
+        findings.extend(produced)
 
-    if wanted is not None:
+    if rules:
         # Crash findings always survive the filter: a --rule run whose
         # analyzer died must not exit 0.
+        wanted = {rule.upper() for rule in rules}
         findings = [f for f in findings
                     if f.rule in wanted or f.rule[:2] in wanted
                     or f.rule.endswith("000")]
@@ -415,7 +351,7 @@ def run_checks(rules: Optional[Sequence[str]] = None,
     else:
         loaded = Baseline.load(baseline)
     new, suppressed, stale = loaded.partition(findings)
-    if rules or only:
+    if rules:
         # A filtered run never saw most findings, so absence of a match
         # proves nothing — stale detection needs the full suite.
         stale = []

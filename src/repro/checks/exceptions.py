@@ -1,4 +1,4 @@
-"""EX: exception-contract analysis (rules EX001-EX006).
+"""EX: exception-contract analysis (rules EX001-EX007).
 
 The serving, parallel, and faults packages promise their callers a
 closed error vocabulary: everything that escapes a public function is
@@ -11,16 +11,24 @@ counts if no intermediate handler catches it.
 =====  ==========================================================
 EX001  public boundary function may raise a non-ReproError type
 EX002  ``except BaseException`` without re-raise (eats Ctrl-C/SystemExit)
-EX003  raise inside an except handler without ``from`` (loses cause)
 EX004  ServingError subclass with no specific envelope in error_response
 EX005  broad handler swallows load-control errors the body can raise
 EX006  raising the bare ReproError/ServingError base class
+EX007  library code raises a type outside the ReproError hierarchy
 =====  ==========================================================
 
 EX001's summaries only see raises *written in this corpus*; a builtin
 raising ``ValueError`` inside an unresolved call is invisible. That is
 the honest trade: the rule enforces "we never wrote an untyped escape",
 not "CPython cannot produce one".
+
+EX007 is the lexical, package-wide twin of EX001: every ``raise`` of a
+named type anywhere in the package must name a ``ReproError`` subtype
+(resolved through the same corpus hierarchy, so a module-local
+subclass counts), so callers can catch one base class. ``cli.py`` and
+``serving/http.py`` are process edges (exit codes, HTTP) and exempt;
+``NotImplementedError`` and bare re-raises are always fine. Raising
+without ``from`` inside a handler is ruff's B904.
 """
 
 from __future__ import annotations
@@ -30,8 +38,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .astutils import dotted_name
-from .callgraph import CallGraph, FunctionInfo, build_call_graph, \
-    iter_own_statements
+from .callgraph import CallGraph, FunctionInfo, build_call_graph
 from .findings import Finding, Severity
 from .interproc import (
     ExceptionHierarchy,
@@ -40,13 +47,12 @@ from .interproc import (
     escapes_of_statements,
     handler_type_names,
 )
-from .lint import _ALWAYS_ALLOWED_RAISES
 
 __all__ = ["check_exception_contracts"]
 
 #: Packages whose public functions form the typed-error boundary.
 _BOUNDARY_PACKAGES = ("serving", "parallel", "faults")
-#: Packages held to handler hygiene (EX003/EX005/EX006).
+#: Packages held to handler hygiene (EX005/EX006).
 _SCOPE_PACKAGES = ("serving", "parallel", "faults", "treecomp")
 
 #: Overload/deadline errors that double as control flow: swallowing one
@@ -55,6 +61,13 @@ _LOAD_CONTROL = frozenset({
     "QueueFullError", "LoadShedError", "RequestTimeoutError",
     "DeadlineExceeded", "ServiceClosedError",
 })
+
+#: Exceptions any library module may raise besides ReproError subclasses.
+_ALWAYS_ALLOWED_RAISES = frozenset({"NotImplementedError", "StopIteration",
+                                    "KeyboardInterrupt"})
+
+#: Modules allowed to raise anything (process edges: exit codes, HTTP).
+_RAISE_EXEMPT_MODULES = frozenset({"cli", "serving.http"})
 
 _EXEMPT_ESCAPES = frozenset({"<unknown>", "Exception", "BaseException"}) \
     | _ALWAYS_ALLOWED_RAISES
@@ -125,36 +138,6 @@ def _handler_findings(graph: CallGraph, hierarchy: ExceptionHierarchy,
                     findings.extend(_swallow_findings(
                         graph, hierarchy, summaries, info, node,
                         index, handler, names))
-            if in_scope:
-                for handler in node.handlers:
-                    findings.extend(_cause_findings(info, handler))
-    return findings
-
-
-def _cause_findings(info: FunctionInfo,
-                    handler: ast.ExceptHandler) -> List[Finding]:
-    findings = []
-    queue: List[ast.AST] = list(handler.body)
-    while queue:
-        child = queue.pop(0)
-        if isinstance(child, (ast.Try, ast.FunctionDef,
-                              ast.AsyncFunctionDef, ast.Lambda)):
-            continue   # nested try/def owns its own handlers
-        queue.extend(ast.iter_child_nodes(child))
-        if isinstance(child, ast.Raise) and child.exc is not None \
-                and child.cause is None:
-            target = child.exc
-            if isinstance(target, ast.Name) and target.id == handler.name:
-                continue   # re-raising the caught exception itself
-            if isinstance(target, ast.Call):
-                target = target.func
-            name = dotted_name(target) or "<exception>"
-            findings.append(Finding(
-                "EX003", Severity.WARNING, info.rel_path,
-                child.lineno,
-                f"raise {name.split('.')[-1]} inside an except "
-                f"handler without 'from'; the original cause is "
-                f"lost from tracebacks"))
     return findings
 
 
@@ -211,6 +194,35 @@ def _base_raise_findings(graph: CallGraph) -> List[Finding]:
     return findings
 
 
+def _untyped_raise_findings(graph: CallGraph,
+                             hierarchy: ExceptionHierarchy) -> List[Finding]:
+    findings = []
+    for module in graph.modules.values():
+        if module.name in _RAISE_EXEMPT_MODULES:
+            continue
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            target = node.exc
+            if isinstance(target, ast.Call):
+                target = target.func
+            if isinstance(target, ast.Name):
+                name = target.id
+            elif isinstance(target, ast.Attribute):
+                name = target.attr
+            else:
+                continue
+            if name in _ALWAYS_ALLOWED_RAISES \
+                    or "ReproError" in hierarchy.ancestors(name):
+                continue
+            findings.append(Finding(
+                "EX007", Severity.ERROR, module.rel_path, node.lineno,
+                f"raises {name}; library code must raise ReproError "
+                f"subclasses (see errors.py) so callers can catch one "
+                f"base class"))
+    return findings
+
+
 def _isinstance_names(func: Union[ast.FunctionDef,
                                   ast.AsyncFunctionDef]) -> Set[str]:
     handled: Set[str] = set()
@@ -260,13 +272,14 @@ def _envelope_findings(graph: CallGraph,
 def check_exception_contracts(
         roots: Optional[Sequence[Union[str, Path]]] = None
         ) -> List[Finding]:
-    """Run EX001-EX006 over ``roots`` (default: the repro package)."""
+    """Run EX001-EX007 over ``roots`` (default: the repro package)."""
     graph = build_call_graph(roots)
     hierarchy = ExceptionHierarchy.from_graph(graph)
     summaries = compute_raises_summaries(graph, hierarchy)
     findings = (_escape_findings(graph, hierarchy, summaries)
                 + _handler_findings(graph, hierarchy, summaries)
                 + _base_raise_findings(graph)
+                + _untyped_raise_findings(graph, hierarchy)
                 + _envelope_findings(graph, hierarchy))
     unique: List[Finding] = []
     seen: Set[Tuple[str, str, int, str]] = set()

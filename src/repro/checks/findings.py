@@ -3,14 +3,14 @@
 Every analyzer in :mod:`repro.checks` reports :class:`Finding` objects —
 one defect each, anchored to a ``file:line``, tagged with a stable rule
 id (``CG###`` codegen, ``FS###`` feature schema, ``LK###`` lock
-discipline, ``PL###`` project lint) and a severity. The driver matches
-findings against a baseline file so pre-existing debt can be
-grandfathered while new findings fail the build.
+discipline, ...) and a severity. The driver matches findings against a
+baseline file so pre-existing debt can be grandfathered while new
+findings fail the build.
 
 Baseline format (``checks_baseline.toml``)::
 
     [[suppress]]
-    rule = "PL001"                       # required
+    rule = "EX007"                       # required
     path = "src/repro/legacy.py"         # optional: limit to a file
     line = 42                            # optional: limit to a line
     reason = "grandfathered until PR 9"  # optional, documentation only
@@ -96,7 +96,7 @@ def _parse_toml(text: str, source: str) -> dict:
     Uses :mod:`tomllib` where available (Python >= 3.11) and otherwise a
     minimal reader that understands exactly the subset the baseline
     format needs: ``[[suppress]]`` array-of-table headers and
-    ``key = value`` pairs with string or integer values.
+    ``key = value`` pairs with string, integer, or boolean values.
     """
     try:
         import tomllib
@@ -110,70 +110,30 @@ def _parse_toml(text: str, source: str) -> dict:
 
 def _parse_toml_minimal(text: str, source: str) -> dict:
     tables: List[dict] = []
-    sections: dict = {}
     current: Optional[dict] = None
-    pending_key: Optional[str] = None   # key of an open multi-line array
-    pending_items: List[str] = []
-
-    def parse_scalar(value: str, lineno: int) -> object:
-        if value.startswith('"') and value.endswith('"') and len(value) >= 2:
-            return value[1:-1]
-        if value.lstrip("-").isdigit():
-            return int(value)
-        if value in ("true", "false"):
-            return value == "true"
-        raise CheckError(
-            f"invalid baseline file {source}:{lineno}: "
-            f"unsupported value {value!r}")
-
-    def parse_items(body: str, lineno: int) -> List[object]:
-        body = body.strip().rstrip(",")
-        if not body:
-            return []
-        return [parse_scalar(item.strip(), lineno)
-                for item in body.split(",")]
-
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
-        if pending_key is not None:
-            assert current is not None
-            if line.rstrip(",").endswith("]"):
-                pending_items.extend(
-                    parse_items(line.rstrip(",")[:-1], lineno))
-                current[pending_key] = pending_items
-                pending_key, pending_items = None, []
-            else:
-                pending_items.extend(parse_items(line, lineno))
             continue
         if line == "[[suppress]]":
             current = {}
             tables.append(current)
             continue
-        if line.startswith("[") and line.endswith("]") \
-                and not line.startswith("[["):
-            current = sections.setdefault(line[1:-1].strip(), {})
-            continue
-        if "=" in line and current is not None:
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if value.startswith("["):
-                if value.endswith("]"):
-                    current[key] = parse_items(value[1:-1], lineno)
-                else:
-                    pending_key = key
-                    pending_items = parse_items(value[1:], lineno)
-            else:
-                current[key] = parse_scalar(value, lineno)
-            continue
-        raise CheckError(
-            f"invalid baseline file {source}:{lineno}: cannot parse {line!r}")
-    if pending_key is not None:
-        raise CheckError(
-            f"invalid baseline file {source}: unterminated array "
-            f"for key {pending_key!r}")
-    return {"suppress": tables, **sections}
+        key, equals, value = line.partition("=")
+        if not equals or current is None:
+            raise CheckError(f"invalid baseline file {source}:{lineno}: "
+                             f"cannot parse {line!r}")
+        value = value.strip()
+        if value.startswith('"') and value.endswith('"') and len(value) >= 2:
+            current[key.strip()] = value[1:-1]
+        elif value.lstrip("-").isdigit():
+            current[key.strip()] = int(value)
+        elif value in ("true", "false"):
+            current[key.strip()] = value == "true"
+        else:
+            raise CheckError(f"invalid baseline file {source}:{lineno}: "
+                             f"unsupported value {value!r}")
+    return {"suppress": tables}
 
 
 @dataclass
@@ -267,32 +227,9 @@ def render_json(findings: Sequence[Finding],
     }, indent=2)
 
 
-def _config_sections(text: str) -> List[str]:
-    """Verbatim lines of the non-suppression ``[section]`` blocks.
-
-    ``checks_baseline.toml`` doubles as analyzer configuration (the
-    ``[hotpath]`` hot-root declarations); rewriting the suppression
-    entries must carry those sections over untouched.
-    """
-    out: List[str] = []
-    keeping = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("[["):
-            keeping = False
-        elif line.startswith("[") and line.endswith("]"):
-            keeping = True
-        if keeping:
-            out.append(raw)
-    return out
-
-
 def write_baseline(findings: Sequence[Finding],
                    path: Union[str, Path]) -> None:
     """Write a baseline that suppresses exactly ``findings``."""
-    path = Path(path)
-    sections = (_config_sections(path.read_text())
-                if path.exists() else [])
     lines = ["# Generated by `repro-t3 check --write-baseline`.",
              "# Entries grandfather pre-existing findings; delete them as",
              "# the underlying issues are fixed.", ""]
@@ -302,10 +239,7 @@ def write_baseline(findings: Sequence[Finding],
         lines.append(f'path = "{finding.path}"')
         lines.append(f"line = {finding.line}")
         lines.append("")
-    if sections:
-        lines.extend(sections)
-        lines.append("")
-    path.write_text("\n".join(lines))
+    Path(path).write_text("\n".join(lines))
 
 
 _REASON_STUB = "# reason: TODO — justify why this finding is grandfathered"
@@ -327,8 +261,6 @@ def update_baseline(findings: Sequence[Finding],
     """
     path = Path(path)
     existing = Baseline.load(path).suppressions if path.exists() else []
-    sections = (_config_sections(path.read_text())
-                if path.exists() else [])
 
     kept: List[Suppression] = []
     remaining = list(findings)
@@ -366,9 +298,6 @@ def update_baseline(findings: Sequence[Finding],
             lines.append(f'reason = "{escaped}"')
         else:
             lines.append(_REASON_STUB)
-        lines.append("")
-    if sections:
-        lines.extend(sections)
         lines.append("")
     path.write_text("\n".join(lines))
     return len(kept), len(added), dropped

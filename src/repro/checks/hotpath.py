@@ -10,22 +10,17 @@ detects one of those shapes, or a close cousin, statically.
 
 The engine: :func:`~repro.checks.interproc.compute_cost_summaries`
 computes a bottom-up fixpoint of per-function **cost summaries**
-(FFI/pickle/IO/subprocess effects, loop-nest depth, per-iteration
-allocation) over the shared call graph. A configurable set of **hot
-roots** — the serving predict chain, the micro-batcher, featurization
-fill, the treecomp predict entry points, and the process-pool fan-out —
-seeds a forward reachability pass; rules only fire inside functions a
-hot root can reach, so cold setup code (training, CLI, compilation)
-never produces noise. Roots live in ``checks_baseline.toml`` under
-``[hotpath]``, next to the suppressions::
-
-    [hotpath]
-    roots = ["PredictionService.predict", "process_map"]
-    per_element_roots = ["CompiledTreeModel.predict_one"]
-
-``per_element_roots`` are entry points *called once per element* by
-their callers; a single FFI or pickle call in one costs a round-trip
-per prediction even with no loop in sight.
+(FFI/IO/subprocess/sleep effects, loop-nest depth, per-iteration
+allocation) over the shared call graph. A fixed set of **hot roots**
+(:data:`DEFAULT_HOT_ROOTS`) — the serving predict chain, the
+micro-batcher, featurization fill, the treecomp predict entry points,
+and the process-pool fan-out — seeds a forward reachability pass;
+rules only fire inside functions a hot root can reach, so cold setup
+code (training, CLI, compilation) never produces noise.
+:data:`DEFAULT_PER_ELEMENT_ROOTS` are entry points *called once per
+element* by their callers; a single FFI call in one costs a round-trip
+per prediction even with no loop in sight. Tests pass their own roots
+through :func:`check_hotpath`'s ``hot_roots``/``per_element_roots``.
 
 Rules
 -----
@@ -40,12 +35,9 @@ HP004  blocking IO/subprocess/sleep while holding a lock on a hot path
 HP005  loop-invariant pure call hoistable out of a hot loop
 HP006  loop-invariant f-string parts / eager logging format in a hot
        loop (precompute the label outside)
-HP007  exception-as-control-flow per iteration (try/except as lookup)
 HP008  membership test against a list inside a hot loop (use a set)
 HP009  the same loop-invariant attribute chain resolved repeatedly in
        one hot loop (hoist it into a local)
-HP010  known-slow stdlib call (pickle / re.compile / json) per element
-       on a hot path
 """
 
 from __future__ import annotations
@@ -65,37 +57,31 @@ from typing import (
     Union,
 )
 
-from ..errors import CheckError
 from .astutils import dotted_name
 from .callgraph import CallGraph, FunctionInfo, build_call_graph
 from .cfg import build_cfg, forward_dataflow
 # The must-held lock machinery is concurrency.py's; HP004 reuses it
 # rather than re-deriving lock discovery and transfer semantics.
 from .concurrency import _class_locks, _make_transfer
-from .findings import Finding, Severity, _parse_toml
+from .findings import Finding, Severity
 from .interproc import (
     COST_EFFECTS,
     CostSummary,
     classify_cost_effect,
     collect_ffi_attrs,
     compute_cost_summaries,
-    handler_type_names,
+    is_copy_allocator,
 )
 
 __all__ = [
     "DEFAULT_HOT_ROOTS",
     "DEFAULT_PER_ELEMENT_ROOTS",
     "check_hotpath",
-    "load_hot_root_config",
 ]
 
-#: Mirrors ``driver.DEFAULT_BASELINE_NAME`` (the driver imports this
-#: module, so importing back would be circular).
-_CONFIG_NAME = "checks_baseline.toml"
-
-#: Built-in hot roots, used when no ``[hotpath]`` config is present.
-#: Keep in sync with the ``[hotpath]`` section of
-#: ``checks_baseline.toml`` — the config is authoritative for repo runs.
+#: Hot roots, matched against function qnames: ``"Class.method"`` and
+#: ``"module:Class.method"`` match exactly, a bare name matches every
+#: function with that simple name.
 DEFAULT_HOT_ROOTS: Tuple[str, ...] = (
     # serving request path
     "PredictionService.predict",
@@ -128,7 +114,6 @@ DEFAULT_PER_ELEMENT_ROOTS: Tuple[str, ...] = (
     "PythonScalarModel.predict_one",
 )
 
-_SLOW_STDLIB_TAGS = frozenset({"pickle", "re-compile", "json"})
 _BLOCKING_TAGS = frozenset({"sleep", "subprocess", "io"})
 
 #: Pure builtins worth hoisting when every argument is loop-invariant.
@@ -138,13 +123,6 @@ _PURE_CALLS = frozenset({
     "math.sqrt", "math.log", "math.exp", "math.floor", "math.ceil",
 })
 
-#: Exception types whose catch-and-discard in a loop is a lookup in
-#: disguise (use ``.get()`` / a membership test instead).
-_LOOKUP_ERRORS = frozenset({
-    "KeyError", "IndexError", "AttributeError", "StopIteration",
-    "ValueError", "TypeError",
-})
-
 #: Constructors whose handles ship work across a process boundary.
 _PROCESS_POOLS = frozenset({"ProcessPoolExecutor", "Pool"})
 
@@ -152,39 +130,7 @@ _LOG_METHODS = frozenset({"debug", "info", "warning", "error",
                           "exception", "critical"})
 
 
-# -- configuration -----------------------------------------------------------
-
-
-def load_hot_root_config(config_path: Optional[Union[str, Path]] = None
-                         ) -> Tuple[List[str], List[str]]:
-    """Hot-root patterns from the ``[hotpath]`` config section.
-
-    Reads ``checks_baseline.toml`` (or ``config_path``); a missing file
-    or section falls back to the built-in defaults. Patterns are
-    matched against function qnames: ``"Class.method"`` and
-    ``"module:Class.method"`` match exactly, a bare name matches every
-    function with that simple name.
-    """
-    path = Path(config_path) if config_path is not None \
-        else Path(_CONFIG_NAME)
-    if not path.exists():
-        return list(DEFAULT_HOT_ROOTS), list(DEFAULT_PER_ELEMENT_ROOTS)
-    data = _parse_toml(path.read_text(), str(path))
-    section = data.get("hotpath", {})
-    if not isinstance(section, dict):
-        raise CheckError(
-            f"invalid hot-root config in {path}: [hotpath] must be a table")
-    roots = section.get("roots", list(DEFAULT_HOT_ROOTS))
-    per_element = section.get("per_element_roots",
-                              list(DEFAULT_PER_ELEMENT_ROOTS))
-    for key, value in (("roots", roots),
-                       ("per_element_roots", per_element)):
-        if not (isinstance(value, list)
-                and all(isinstance(item, str) for item in value)):
-            raise CheckError(
-                f"invalid hot-root config in {path}: hotpath.{key} "
-                "must be an array of strings")
-    return list(roots), list(per_element)
+# -- hot set ----------------------------------------------------------------
 
 
 def _matches(pattern: str, info: FunctionInfo) -> bool:
@@ -460,7 +406,6 @@ class _FunctionScan:
             if loop.is_statement_loop:
                 self._scan_hp002(loop)
                 self._scan_hp005(loop)
-                self._scan_hp007(loop)
                 self._scan_hp008(loop)
                 self._scan_hp009(loop)
         if self.per_element:
@@ -469,37 +414,26 @@ class _FunctionScan:
         self._scan_logging()
         return self.findings
 
-    # -- HP001 / HP003 / HP010: calls per iteration --------------------------
+    # -- HP001 / HP003: calls per iteration ----------------------------------
 
     def _scan_loop_calls(self, loop: _Loop) -> None:
         for call in (n for n in _walk_scope(loop.body)
                      if isinstance(n, ast.Call)):
-            tag = classify_cost_effect(call, self.class_ffi)
-            if tag == "ffi":
+            if classify_cost_effect(call, self.class_ffi) == "ffi":
                 self._emit(
                     "HP001", Severity.ERROR, call.lineno,
                     f"{self._label()}: ctypes FFI round-trip inside a "
                     f"loop — one native call per element; batch the "
                     f"elements into a single FFI call")
-            elif tag in _SLOW_STDLIB_TAGS:
-                self._emit(
-                    "HP010", Severity.WARNING, call.lineno,
-                    f"{self._label()}: {COST_EFFECTS[tag]} inside a "
-                    f"loop — hoist it out or cache the result")
-            effects = self._callee_effects(call)
-            if tag != "ffi" and "ffi" in effects:
-                self._emit(
-                    "HP001", Severity.ERROR, call.lineno,
-                    f"{self._label()}: calls {effects['ffi']} inside a "
-                    f"loop, paying a ctypes FFI round-trip per element; "
-                    f"batch the elements into a single FFI call")
-            for slow in sorted(_SLOW_STDLIB_TAGS & set(effects)):
-                if slow == tag:
-                    continue
-                self._emit(
-                    "HP010", Severity.WARNING, call.lineno,
-                    f"{self._label()}: calls {effects[slow]} inside a "
-                    f"loop, paying {COST_EFFECTS[slow]} per element")
+            else:
+                effects = self._callee_effects(call)
+                if "ffi" in effects:
+                    self._emit(
+                        "HP001", Severity.ERROR, call.lineno,
+                        f"{self._label()}: calls {effects['ffi']} inside "
+                        f"a loop, paying a ctypes FFI round-trip per "
+                        f"element; batch the elements into a single FFI "
+                        f"call")
             self._check_hp003(call)
 
     def _check_hp003(self, call: ast.Call) -> None:
@@ -525,7 +459,7 @@ class _FunctionScan:
                 target = node.targets[0].id
                 value = node.value
                 if isinstance(value, ast.Call) \
-                        and self._is_copy_allocator(value) \
+                        and is_copy_allocator(value) \
                         and self._name_in(target, value.args):
                     self._emit(
                         "HP002", Severity.ERROR, node.lineno,
@@ -546,24 +480,13 @@ class _FunctionScan:
                         f"copies the whole list every iteration — "
                         f"append in place instead")
                     continue
-            if isinstance(node, ast.Call) \
-                    and self._is_copy_allocator(node):
+            if isinstance(node, ast.Call) and is_copy_allocator(node):
                 name = dotted_name(node.func)
                 self._emit(
                     "HP002", Severity.ERROR, node.lineno,
                     f"{self._label()}: {name}() allocates a fresh array "
                     f"copy every iteration — hoist it out of the loop "
                     f"or preallocate")
-
-    @staticmethod
-    def _is_copy_allocator(call: ast.Call) -> bool:
-        name = dotted_name(call.func)
-        if name is None:
-            return False
-        parts = name.split(".")
-        return (len(parts) == 2 and parts[0] in ("np", "numpy")
-                and parts[1] in ("append", "concatenate", "vstack",
-                                 "hstack"))
 
     @staticmethod
     def _name_in(name: str, nodes: Sequence[ast.AST]) -> bool:
@@ -628,37 +551,6 @@ class _FunctionScan:
                 out.update(id(n) for n in _walk_scope([node.msg]))
         return out
 
-    # -- HP007: exception-as-control-flow ------------------------------------
-
-    def _scan_hp007(self, loop: _Loop) -> None:
-        for node in _walk_scope(loop.body):
-            if not isinstance(node, ast.Try):
-                continue
-            for handler in node.handlers:
-                caught = set(handler_type_names(handler))
-                if not (caught & _LOOKUP_ERRORS):
-                    continue
-                if self._is_trivial_handler(handler.body):
-                    self._emit(
-                        "HP007", Severity.WARNING, node.lineno,
-                        f"{self._label()}: try/except "
-                        f"{'/'.join(sorted(caught & _LOOKUP_ERRORS))} "
-                        f"as per-iteration control flow — exception "
-                        f"setup costs more than a .get()/membership "
-                        f"check on the hot path")
-                    break
-
-    @staticmethod
-    def _is_trivial_handler(body: Sequence[ast.stmt]) -> bool:
-        for stmt in body:
-            if isinstance(stmt, (ast.Pass, ast.Continue)):
-                continue
-            if isinstance(stmt, ast.Assign) \
-                    and isinstance(stmt.value, ast.Constant):
-                continue
-            return False
-        return True
-
     # -- HP008: list membership in a loop ------------------------------------
 
     def _scan_hp008(self, loop: _Loop) -> None:
@@ -712,32 +604,19 @@ class _FunctionScan:
                     f"times in one loop — {depth + 1} dict lookups per "
                     f"use; hoist it into a local before the loop")
 
-    # -- per-element roots: HP001/HP010 without a loop -----------------------
+    # -- per-element roots: HP001 without a loop -----------------------------
 
     def _scan_per_element(self) -> None:
-        ffi_lines: List[int] = []
-        slow_lines: Dict[str, List[int]] = {}
-        for node in self.info.own_statements():
-            if not isinstance(node, ast.Call):
-                continue
-            tag = classify_cost_effect(node, self.class_ffi)
-            if tag == "ffi":
-                ffi_lines.append(node.lineno)
-            elif tag in _SLOW_STDLIB_TAGS:
-                slow_lines.setdefault(tag, []).append(node.lineno)
+        ffi_lines = [node.lineno for node in self.info.own_statements()
+                     if isinstance(node, ast.Call)
+                     and classify_cost_effect(node, self.class_ffi) == "ffi"]
         if ffi_lines:
-            count = len(set(ffi_lines))
             self._emit(
                 "HP001", Severity.ERROR, min(ffi_lines),
                 f"{self._label()}: per-element entry point pays "
-                f"{count} ctypes FFI round-trip(s) per prediction — "
-                f"route bulk work through the batch entry point")
-        for tag, lines in sorted(slow_lines.items()):
-            self._emit(
-                "HP010", Severity.WARNING, min(lines),
-                f"{self._label()}: per-element entry point pays "
-                f"{COST_EFFECTS[tag]} per prediction — cache or batch "
-                f"it")
+                f"{len(set(ffi_lines))} ctypes FFI round-trip(s) per "
+                f"prediction — route bulk work through the batch entry "
+                f"point")
 
     # -- HP004: blocking while holding a lock --------------------------------
 
@@ -812,23 +691,15 @@ class _FunctionScan:
 
 
 def check_hotpath(roots: Optional[Sequence[Union[str, Path]]] = None,
-                  config_path: Optional[Union[str, Path]] = None,
-                  hot_roots: Optional[Sequence[str]] = None,
-                  per_element_roots: Optional[Sequence[str]] = None
+                  hot_roots: Sequence[str] = DEFAULT_HOT_ROOTS,
+                  per_element_roots: Sequence[str] = DEFAULT_PER_ELEMENT_ROOTS
                   ) -> List[Finding]:
-    """Run HP001–HP010 over the corpus under ``roots``.
+    """Run the HP rules over the corpus under ``roots``.
 
-    ``hot_roots``/``per_element_roots`` override the ``[hotpath]``
-    config section (used by tests with synthetic corpora); ``roots``
-    selects the source tree (default: the installed ``repro`` package).
+    ``hot_roots``/``per_element_roots`` override the built-in roots
+    (used by tests with synthetic corpora); ``roots`` selects the source
+    tree (default: the installed ``repro`` package).
     """
-    if hot_roots is None or per_element_roots is None:
-        config_roots, config_per_element = load_hot_root_config(config_path)
-        if hot_roots is None:
-            hot_roots = config_roots
-        if per_element_roots is None:
-            per_element_roots = config_per_element
-
     graph = build_call_graph(roots=roots)
     summaries = compute_cost_summaries(graph)
     ffi_attrs = collect_ffi_attrs(graph)

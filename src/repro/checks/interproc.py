@@ -21,8 +21,7 @@ over :class:`~repro.checks.callgraph.CallGraph`:
 
 * **Cost summaries** (:func:`compute_cost_summaries`) for the HP
   hot-path analyzer: which expensive *effects* (ctypes FFI round-trips,
-  pickling, regex compilation, JSON, subprocess spawns, blocking IO,
-  sleeps) a function may perform — directly or through any corpus
+  subprocess spawns, blocking IO, sleeps) a function may perform — directly or through any corpus
   callee — plus its maximum loop-nest depth and whether it allocates
   fresh array copies per loop iteration. ``self.<attr>(...)`` calls
   count as FFI when the class binds ``<attr>`` from a
@@ -62,6 +61,7 @@ __all__ = [
     "compute_taint_summaries",
     "escapes_of_statements",
     "handler_type_names",
+    "is_copy_allocator",
     "map_loop_depths",
     "sink_name_of_call",
 ]
@@ -74,7 +74,7 @@ TaintKind = str
 SOURCE_KINDS: Dict[TaintKind, str] = {
     "clock": "wall-clock reading",
     "id": "id() object address",
-    "random": "unseeded stdlib random",
+    "random": "unseeded random (stdlib random / numpy global state)",
     "entropy": "OS entropy (os.urandom/uuid4/secrets)",
     "hash": "builtin hash() (PYTHONHASHSEED-dependent)",
     "set-order": "set iteration order",
@@ -118,6 +118,12 @@ _RANDOM_CALLS = frozenset({
     "random.choice", "random.choices", "random.shuffle", "random.sample",
     "random.uniform", "random.gauss", "random.Random",
 })
+#: numpy.random module-level functions that use the unseeded global state.
+_LEGACY_NP_RANDOM = frozenset({
+    "rand", "randn", "randint", "random", "random_sample", "ranf", "sample",
+    "choice", "shuffle", "permutation", "seed", "normal", "uniform",
+    "standard_normal", "exponential", "poisson", "binomial", "bytes",
+})
 #: Calls whose result launders set-order (deterministic ordering).
 _ORDER_SANITIZERS = frozenset({"sorted", "min", "max", "sum", "len",
                                "frozenset"})
@@ -136,6 +142,14 @@ def classify_source(call: ast.Call) -> Optional[TaintKind]:
         return "procid"
     if name in _RANDOM_CALLS or name.startswith("random."):
         return "random"
+    parts = name.split(".")
+    if len(parts) == 3 and parts[0] in ("np", "numpy") \
+            and parts[1] == "random":
+        if parts[2] in _LEGACY_NP_RANDOM:
+            return "random"
+        if parts[2] == "default_rng" and not call.args \
+                and not call.keywords:
+            return "random"   # seeded from OS entropy
     if name == "id":
         return "id"
     if name == "hash":
@@ -763,9 +777,6 @@ def compute_raises_summaries(graph: CallGraph,
 #: effect tag -> human-readable description (used in HP messages).
 COST_EFFECTS: Dict[str, str] = {
     "ffi": "ctypes FFI round-trip",
-    "pickle": "pickle serialization",
-    "re-compile": "regex compilation",
-    "json": "JSON (de)serialization",
     "subprocess": "subprocess spawn",
     "io": "blocking file/socket IO",
     "sleep": "thread sleep",
@@ -773,11 +784,6 @@ COST_EFFECTS: Dict[str, str] = {
 
 #: dotted callee name -> effect tag, for exact-name classification.
 _COST_CALL_TAGS: Dict[str, str] = {
-    "pickle.dumps": "pickle", "pickle.loads": "pickle",
-    "pickle.dump": "pickle", "pickle.load": "pickle",
-    "re.compile": "re-compile",
-    "json.dumps": "json", "json.loads": "json",
-    "json.dump": "json", "json.load": "json",
     "subprocess.run": "subprocess", "subprocess.call": "subprocess",
     "subprocess.check_call": "subprocess",
     "subprocess.check_output": "subprocess",
@@ -946,7 +952,8 @@ class CostSummary:
 _MAX_SUMMARY_LOOP_DEPTH = 4
 
 
-def _is_copy_allocator(call: ast.Call) -> bool:
+def is_copy_allocator(call: ast.Call) -> bool:
+    """``np.append``/``np.concatenate``/...: a whole-array copy per call."""
     name = dotted_name(call.func)
     if name is None:
         return False
@@ -982,7 +989,7 @@ class _CostPass:
             if tag is not None:
                 summary.effects.setdefault(
                     tag, EffectOrigin(line=node.lineno))
-            if depth >= 1 and _is_copy_allocator(node):
+            if depth >= 1 and is_copy_allocator(node):
                 summary.allocates_in_loop = True
             for qname in self._callees.get(id(node), ()):
                 callee = self.summaries.get(qname)

@@ -18,6 +18,10 @@ Two classifications per leaked token:
   enclosing ``try`` releases the resource in a handler or ``finally``
   — the PR 5 ``compile_model`` workdir leak shape.
 
+Lock-protocol methods (``__enter__``, ``acquire``, ``lock``, ...)
+return with the lock held by contract and carry no RS001/RS002
+obligation.
+
 RS005 and RS006 are shape rules on top of the same machinery: RS005
 flags ``set_result``/``set_exception`` on a future the function did
 not itself create unless the call is guarded by a ``try`` (another
@@ -63,6 +67,11 @@ _ACQUIRE_SUFFIXES: Dict[str, str] = {
     "ProcessPoolExecutor": "pool", "ThreadPoolExecutor": "pool",
     "Pool": "pool",
 }
+
+#: Lock-protocol methods whose contract *is* "return with the lock
+#: held" (the caller's ``__exit__``/``release`` pays it back).
+_LOCK_PROTOCOL_METHODS = frozenset(
+    {"__enter__", "acquire", "acquire_lock", "lock"})
 
 _RECORD_METHODS = frozenset(
     {"record_success", "record_failure", "record_aborted"})
@@ -294,11 +303,12 @@ def _lifecycle_findings(info: FunctionInfo) -> List[Finding]:
         return []
     tokens = _acquisitions(info)
     lock_tokens: List[Tuple[str, int]] = []
-    for node in info.own_statements():
-        if isinstance(node, (ast.Expr, ast.Assign)):
-            receiver = _lock_acquire_target(node)
-            if receiver is not None:
-                lock_tokens.append((receiver, node.lineno))
+    if info.name not in _LOCK_PROTOCOL_METHODS:
+        for node in info.own_statements():
+            if isinstance(node, (ast.Expr, ast.Assign)):
+                receiver = _lock_acquire_target(node)
+                if receiver is not None:
+                    lock_tokens.append((receiver, node.lineno))
     if not tokens and not lock_tokens:
         return []
     try:

@@ -14,8 +14,8 @@ Subcommands cover the library's end-to-end workflow:
 * ``serve``     — run the online prediction service (HTTP),
 * ``check``     — run the static-analysis suite (codegen verifier,
   feature-schema drift, plan invariants, ensemble analysis,
-  concurrency checking, project lint, determinism taint, exception
-  contracts, resource lifecycles, hot-path cost analysis).
+  concurrency checking, determinism taint, exception contracts,
+  resource lifecycles, hot-path cost analysis).
 
 Example session::
 
@@ -178,13 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="RULE",
                        help="run only this rule id (LK001) or analyzer "
                             "prefix (LK); repeatable")
-    check.add_argument("--only", action="append", dest="only", default=[],
-                       metavar="ANALYZER",
-                       help="run only this analyzer, by name (determinism) "
-                            "or rule prefix (DT); repeatable")
-    check.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="run up to N analyzers concurrently "
-                            "(default: 1, serial)")
     check.add_argument("--format", default="text",
                        choices=("text", "json", "sarif"),
                        dest="fmt", help="findings output format")
@@ -451,8 +444,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             baseline = DEFAULT_BASELINE_NAME
     report = run_checks(rules=args.rules or None, baseline=baseline,
                         model_path=args.model,
-                        check_unused_features=args.check_unused_features,
-                        only=args.only or None, jobs=args.jobs)
+                        check_unused_features=args.check_unused_features)
     if args.write_baseline:
         write_baseline(report.findings, args.write_baseline)
         print(f"wrote {len(report.findings)} suppression(s) "

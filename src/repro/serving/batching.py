@@ -19,7 +19,7 @@ being evaluated late — so an overloaded service degrades with typed
 errors instead of building an unbounded backlog.
 
 The worker never blocks unboundedly: its idle wait is a short timed
-``get`` re-checking the closed flag (checks rule RT001), and
+``get`` re-checking the closed flag (checks rule LK009), and
 :meth:`MicroBatcher.close` *drains* the queue — any request the worker
 could not answer fails fast with
 :class:`~repro.errors.ServiceClosedError` rather than leaving its
@@ -61,7 +61,7 @@ _BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 _IDLE_TICK_S = 0.1
 
 #: Upper bound on a deadline-less blocking :meth:`MicroBatcher.submit`
-#: (RT002: never wait on a future unboundedly — a wedged worker must
+#: (LK010: never wait on a future unboundedly — a wedged worker must
 #: surface as a typed timeout, not a hang).
 _DEFAULT_RESULT_WAIT_S = 60.0
 
@@ -325,7 +325,7 @@ class MicroBatcher:
     def _run(self) -> None:
         while True:
             try:
-                # Bounded wait (RT001): re-check the closed flag every
+                # Bounded wait (LK009): re-check the closed flag every
                 # tick so a lost shutdown sentinel cannot wedge us.
                 item = self._queue.get(timeout=_IDLE_TICK_S)
             except queue.Empty:

@@ -1,14 +1,20 @@
-"""Feature-schema, lint, baseline, and driver tests.
+"""Feature-schema, repo-convention, baseline, and driver tests.
 
 Seeded-violation sources prove each analyzer actually fires; the
-repo-level runs prove the codebase itself is clean. (The concurrency,
-plan-invariant, ensemble, CFG, and SARIF layers have their own test
-modules.)
+repo-level runs prove the codebase itself is clean. The repo's lint
+conventions live in two places: generic hygiene (bare except, mutable
+defaults, print, ``raise`` without ``from``) is ruff's, and the
+T3-specific ones — typed errors (EX007) and seeded randomness (DT003)
+— are analyzer rules, tested here through their analyzers. (The
+concurrency, plan-invariant, ensemble, CFG, and SARIF layers have
+their own test modules.)
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -18,16 +24,19 @@ from repro.checks import (
     Finding,
     Severity,
     Suppression,
+    check_determinism,
+    check_exception_contracts,
     check_feature_schema,
-    check_lint,
     run_checks,
 )
 from repro.checks.findings import update_baseline, write_baseline
-from repro.checks.lint import allowed_exception_names, lint_source
 from repro.errors import CheckError
 
+_ERRORS_SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro" \
+    / "errors.py"
+
 # ---------------------------------------------------------------------------
-# lint
+# repo conventions: typed errors (EX007) and seeded randomness (DT003)
 # ---------------------------------------------------------------------------
 
 _LINT_VIOLATIONS = '''
@@ -44,36 +53,67 @@ def awful(items=[]):
 '''
 
 
-def test_lint_flags_every_seeded_rule():
-    findings = lint_source(_LINT_VIOLATIONS, "somewhere.py",
-                           allowed_exception_names())
-    rules = {f.rule for f in findings}
-    assert rules == {"PL001", "PL002", "PL003", "PL004", "PL005"}
-    assert sum(1 for f in findings if f.rule == "PL005") == 2
+def _corpus(tmp_path, files):
+    """A corpus with the real ``errors.py`` plus ``files``."""
+    shutil.copy(_ERRORS_SOURCE, tmp_path / "errors.py")
+    for rel, source in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+    return [tmp_path]
 
 
-def test_lint_allows_local_reproerror_subclasses():
-    source = (
-        "from ..errors import PlanError\n"
-        "class LocalError(PlanError):\n"
-        "    pass\n"
-        "class DeeperError(LocalError):\n"
-        "    pass\n"
-        "def f():\n"
-        "    raise DeeperError('typed enough')\n")
-    findings = lint_source(source, "somewhere.py", allowed_exception_names())
-    assert findings == []
+def _ex007(roots):
+    return [f for f in check_exception_contracts(roots=roots)
+            if f.rule == "EX007"]
 
 
-def test_lint_exempts_process_edges():
-    source = "def f():\n    raise SystemExit(2)\n"
-    assert lint_source(source, "cli.py", allowed_exception_names()) == []
-    flagged = lint_source(source, "core/model.py", allowed_exception_names())
-    assert {f.rule for f in flagged} == {"PL001"}
+def test_lint_flags_every_seeded_rule(tmp_path):
+    roots = _corpus(tmp_path, {"somewhere.py": _LINT_VIOLATIONS})
+    untyped = _ex007(roots)
+    assert [(f.path.rsplit("/", 1)[-1], f.line) for f in untyped] == [
+        ("somewhere.py", 7)]
+    assert "ValueError" in untyped[0].message
+    unseeded = [f for f in check_determinism(roots=roots)
+                if f.rule == "DT003"]
+    assert sorted(f.line for f in unseeded) == [10, 11]
+
+
+def test_lint_allows_local_reproerror_subclasses(tmp_path):
+    roots = _corpus(tmp_path, {"somewhere.py": """
+        from errors import PlanError
+
+        class LocalError(PlanError):
+            pass
+
+        class DeeperError(LocalError):
+            pass
+
+        def f():
+            raise DeeperError('typed enough')
+    """})
+    assert _ex007(roots) == []
+
+
+def test_lint_exempts_process_edges(tmp_path):
+    source = """
+        def f():
+            raise SystemExit(2)
+
+        def g():
+            raise NotImplementedError
+    """
+    roots = _corpus(tmp_path, {"cli.py": source, "serving/http.py": source,
+                               "core/model.py": source})
+    flagged = _ex007(roots)
+    assert [(f.path.rsplit("/", 1)[-1], f.line) for f in flagged] == [
+        ("model.py", 3)]
+    assert "SystemExit" in flagged[0].message
 
 
 def test_repo_passes_its_own_lint():
-    assert check_lint() == []
+    assert _ex007(None) == []
+    assert [f for f in check_determinism() if f.rule == "DT003"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +147,8 @@ def _finding(rule="LK002", path="src/repro/serving/x.py", line=10):
 def test_baseline_splits_suppressed_findings():
     baseline = Baseline([Suppression(rule="LK002",
                                      path="src/repro/serving/x.py")])
-    new, suppressed = baseline.split([_finding(), _finding(rule="PL001")])
-    assert [f.rule for f in new] == ["PL001"]
+    new, suppressed = baseline.split([_finding(), _finding(rule="EX007")])
+    assert [f.rule for f in new] == ["EX007"]
     assert [f.rule for f in suppressed] == ["LK002"]
 
 
@@ -122,10 +162,10 @@ def test_baseline_wildcard_and_line_matching():
 
 def test_baseline_toml_round_trip(tmp_path):
     path = tmp_path / "baseline.toml"
-    write_baseline([_finding(), _finding(rule="PL004", line=3)], path)
+    write_baseline([_finding(), _finding(rule="DT003", line=3)], path)
     loaded = Baseline.load(path)
     assert loaded.is_suppressed(_finding())
-    assert loaded.is_suppressed(_finding(rule="PL004", line=3))
+    assert loaded.is_suppressed(_finding(rule="DT003", line=3))
     assert not loaded.is_suppressed(_finding(rule="CG005"))
 
 
@@ -149,10 +189,11 @@ def test_run_checks_repo_is_clean():
     assert report.findings == []
     assert report.exit_code == 0
     assert sorted(f.rule for f in report.suppressed) == ["HP003", "HP004"]
-    assert set(report.analyzers_run) == {
+    assert report.stale_suppressions == []
+    assert report.analyzers_run == [
         "codegen", "feature-schema", "plan-invariants", "ensemble",
-        "concurrency", "lint", "responsiveness", "determinism",
-        "exceptions", "resources", "hotpath"}
+        "concurrency", "determinism", "exceptions", "resources",
+        "hotpath"]
     # CI's perf gate allows 10s for the whole suite including the
     # interprocedural pass; leave headroom for slow runners here.
     assert report.elapsed_seconds < 10.0
@@ -163,8 +204,8 @@ def test_run_checks_repo_is_clean():
 def test_run_checks_rule_filter_limits_analyzers():
     report = run_checks(rules=["LK"])
     assert report.analyzers_run == ["concurrency"]
-    report = run_checks(rules=["CG005", "PL001"])
-    assert set(report.analyzers_run) == {"codegen", "lint"}
+    report = run_checks(rules=["CG005", "EX007"])
+    assert report.analyzers_run == ["codegen", "exceptions"]
 
 
 def test_run_checks_unknown_rule_is_typed_error():
@@ -262,14 +303,14 @@ def test_analyzer_crash_findings_are_baselinable():
 def test_update_baseline_fresh_file_adds_reason_stubs(tmp_path):
     path = tmp_path / "baseline.toml"
     kept, added, dropped = update_baseline(
-        [_finding(), _finding(rule="PL004", line=3)], path)
+        [_finding(), _finding(rule="DT003", line=3)], path)
     assert (kept, added, dropped) == (0, 2, 0)
     text = path.read_text()
     assert text.count("[[suppress]]") == 2
     assert text.count("# reason: TODO") == 2
     loaded = Baseline.load(path)
     assert loaded.is_suppressed(_finding())
-    assert loaded.is_suppressed(_finding(rule="PL004", line=3))
+    assert loaded.is_suppressed(_finding(rule="DT003", line=3))
 
 
 def test_update_baseline_keeps_matching_entries_with_reasons(tmp_path):
@@ -280,7 +321,7 @@ def test_update_baseline_keeps_matching_entries_with_reasons(tmp_path):
         'path = "src/repro/serving/x.py"\n'
         'reason = "grandfathered until the registry rework"\n')
     kept, added, dropped = update_baseline(
-        [_finding(), _finding(rule="PL004", line=3)], path)
+        [_finding(), _finding(rule="DT003", line=3)], path)
     assert (kept, added, dropped) == (1, 1, 0)
     text = path.read_text()
     assert "grandfathered until the registry rework" in text

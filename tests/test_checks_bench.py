@@ -31,6 +31,6 @@ def test_full_check_run_fits_ci_budget_and_records_timings():
         "budget_seconds": MAX_SECONDS,
     }
     RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    assert len(report.analyzers_run) == 11
+    assert len(report.analyzers_run) == 9
     assert set(report.timings) == set(report.analyzers_run)
     assert report.elapsed_seconds < MAX_SECONDS

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 _ALL_ANALYZERS = {"codegen", "feature-schema", "plan-invariants",
-                  "ensemble", "concurrency", "lint", "responsiveness",
-                  "determinism", "exceptions", "resources", "hotpath"}
+                  "ensemble", "concurrency", "determinism", "exceptions",
+                  "resources", "hotpath"}
 
 
 def _stale_model(tmp_path):
@@ -57,35 +59,38 @@ def test_check_unknown_rule_fails(capsys):
 def test_check_list_rules(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("CG001", "FS001", "LK001", "LK008", "PI001", "PI012",
-                 "EA001", "EA010", "PL001", "DT001", "DT010", "EX001",
-                 "EX006", "RS001", "RS008", "HP001", "HP010"):
+    for rule in ("CG001", "FS001", "LK001", "LK011", "PI001", "PI012",
+                 "EA001", "EA010", "DT001", "DT010", "EX001", "EX007",
+                 "RS001", "RS008", "HP001", "HP009"):
         assert rule in out
+    for retired in ("PL001", "RT001", "LK006", "EX003", "HP007", "HP010"):
+        assert retired not in out
 
 
 def test_check_only_flag(capsys):
-    assert main(["check", "--only", "determinism", "--only", "EX",
+    # Whole analyzers are selected by rule prefix; there is no --only.
+    assert main(["check", "--rule", "DT", "--rule", "EX",
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["analyzers"] == ["determinism", "exceptions"]
-
-
-def test_check_only_unknown_analyzer_fails(capsys):
-    assert main(["check", "--only", "nosuch"]) == 1
-    assert "unknown analyzer" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--only", "determinism"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_check_jobs_flag(capsys):
-    assert main(["check", "--jobs", "4", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["findings"] == []
-    assert set(payload["analyzers"]) == _ALL_ANALYZERS
+    # The suite runs serially; there is no --jobs.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--jobs", "4"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_check_warns_on_stale_suppression(tmp_path, capsys):
     baseline = tmp_path / "baseline.toml"
     baseline.write_text(
-        '[[suppress]]\nrule = "PL004"\n'
+        '[[suppress]]\nrule = "DT003"\n'
         'path = "src/repro/nonexistent.py"\nline = 1\n'
         # the grandfathered findings must stay covered for the full
         # run to exit 0
@@ -95,7 +100,7 @@ def test_check_warns_on_stale_suppression(tmp_path, capsys):
         'path = "src/repro/lifecycle/obslog.py"\n')
     assert main(["check", "--baseline", str(baseline)]) == 0
     out = capsys.readouterr().out
-    assert "stale baseline suppression PL004" in out
+    assert "stale baseline suppression DT003" in out
     assert "src/repro/nonexistent.py:1" in out
 
 

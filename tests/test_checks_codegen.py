@@ -185,14 +185,14 @@ def test_zero_tree_model_is_cg002():
 
 def test_check_cli_reports_model_it_cannot_compile(tmp_path, capsys):
     # A saved model with a NaN split threshold: the emitter refuses it,
-    # so `check --only codegen` must fail instead of reporting clean.
+    # so `check --rule CG` must fail instead of reporting clean.
     model = self_check_model()
     model.trees[0].threshold[0] = math.nan
     with pytest.raises(CompilationError) as refusal:
         generate_c_source(model)
     path = tmp_path / "nan_threshold.json"
     path.write_text(dumps_model(model))
-    assert main(["check", "--only", "codegen", "--model", str(path),
+    assert main(["check", "--rule", "CG", "--model", str(path),
                  "--format", "json"]) == 1
     findings = json.loads(capsys.readouterr().out)["findings"]
     assert [(f["rule"], f["severity"], f["message"]) for f in findings] == [

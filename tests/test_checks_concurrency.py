@@ -2,9 +2,9 @@
 
 Each LK rule gets at least one planted-defect fixture that fires it and
 one clean fixture that exercises the same shape without the defect —
-the clean side is what separates a dataflow analysis from a grep. The
-mutation test takes a correct acquire/try/finally/release pattern,
-deletes the ``release()``, and asserts the checker notices.
+the clean side is what separates a dataflow analysis from a grep.
+LK009–LK011 (unbounded queue/future/thread waits) are lexical and run
+over every call in the file, locked or not.
 """
 
 from __future__ import annotations
@@ -306,7 +306,8 @@ class AsyncThing:
 
 
 # ---------------------------------------------------------------------------
-# LK006 — lock may still be held at exit (and the mutation test)
+# Manual acquire/release pair (LK007's clean twin; "still held at exit"
+# is RS001's, see test_checks_resources.py)
 # ---------------------------------------------------------------------------
 
 _MANUAL_PAIR = '''
@@ -324,56 +325,6 @@ class Manual:
         finally:
             self._lock.release()
 '''
-
-
-def test_lk006_clean_on_correct_manual_pair():
-    assert _rules(_MANUAL_PAIR) == set()
-
-
-def test_lk006_mutation_deleting_release_fires():
-    # Mutation test: delete the release() from the correct pattern and
-    # the checker must notice the lock can leak out of the function.
-    mutated = _MANUAL_PAIR.replace("            self._lock.release()\n",
-                                   "            pass\n")
-    assert mutated != _MANUAL_PAIR
-    findings = [f for f in _findings(mutated) if f.rule == "LK006"]
-    assert len(findings) == 1
-    assert "_lock" in findings[0].message
-
-
-def test_lk006_fires_when_one_branch_skips_release():
-    source = '''
-import threading
-
-class Leaky:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._ready = False
-
-    def maybe(self):
-        self._lock.acquire()
-        if self._ready:
-            self._lock.release()
-'''
-    assert "LK006" in _rules(source)
-
-
-def test_lk006_exempts_explicit_lock_protocol_methods():
-    source = '''
-import threading
-
-class Guard:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def __enter__(self):
-        self._lock.acquire()
-        return self
-
-    def __exit__(self, *exc):
-        self._lock.release()
-'''
-    assert _rules(source) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -499,3 +450,64 @@ def test_missing_path_is_typed_error():
 def test_syntax_error_is_typed_error():
     with pytest.raises(CheckError):
         analyze_source("def broken(:", "broken.py")
+
+
+# ---------------------------------------------------------------------------
+# LK009–LK011 — unbounded blocking waits
+# ---------------------------------------------------------------------------
+
+_UNBOUNDED_WAITS = '''
+def drain(work_queue, future, worker_thread):
+    item = work_queue.get()
+    value = future.result()
+    worker_thread.join()
+    return item, value
+'''
+
+
+def test_lk009_to_lk011_fire_on_unbounded_waits():
+    findings = _findings(_UNBOUNDED_WAITS)
+    assert [(f.rule, f.line) for f in findings] == [
+        ("LK009", 3), ("LK010", 4), ("LK011", 5)]
+    assert "work_queue.get()" in findings[0].message
+    assert "future.result()" in findings[1].message
+    assert "worker_thread.join()" in findings[2].message
+
+
+def test_lk009_to_lk011_fire_inside_lock_owning_classes():
+    source = '''
+import threading
+
+class Pump:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def run(self, task_queue):
+        return task_queue.get(True, None)
+'''
+    assert [f.rule for f in _findings(source)] == ["LK009"]
+
+
+@pytest.mark.parametrize("call", [
+    "work_queue.get(timeout=0.1)",
+    "work_queue.get(True, 0.1)",
+    "work_queue.get(block=False)",
+    "work_queue.get(False)",
+    "work_queue.get_nowait()",
+    "future.result(timeout=1.0)",
+    "future.result(1.0)",
+    "worker_thread.join(timeout=2.0)",
+    "worker_thread.join(2.0)",
+    "\", \".join(names)",
+    "options.get('queue')",
+    "config_dict.get('future')",
+])
+def test_lk009_to_lk011_bounded_or_unrelated_calls_are_clean(call):
+    source = f"def poll(work_queue, future, worker_thread, names, " \
+             f"options, config_dict):\n    return {call}\n"
+    assert _findings(source) == []
+
+
+def test_repo_serving_has_no_unbounded_waits():
+    assert [f for f in check_lock_discipline()
+            if f.rule in ("LK009", "LK010", "LK011")] == []

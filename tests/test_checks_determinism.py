@@ -132,7 +132,7 @@ def test_dt002_local_container_is_clean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# DT003 — stdlib random outside the rng module
+# DT003 — unseeded random (stdlib or numpy) outside the rng module
 # ---------------------------------------------------------------------------
 
 
@@ -154,6 +154,35 @@ def test_dt003_rng_module_is_exempt(tmp_path):
         def make_rng(seed):
             return random.Random(seed)
     """})
+
+
+def test_dt003_unseeded_numpy_random_is_flagged(tmp_path):
+    findings = [f for f in _findings(tmp_path, {"mod.py": """
+        import numpy as np
+
+        def noise(n):
+            rng = np.random.default_rng()
+            return np.random.rand(n) + rng.random(n)
+    """}) if f.rule == "DT003"]
+    assert sorted(f.line for f in findings) == [5, 6]
+    assert any("np.random.rand()" in f.message for f in findings)
+    assert any("np.random.default_rng()" in f.message for f in findings)
+
+
+def test_dt003_seeded_numpy_generator_is_clean(tmp_path):
+    assert "DT003" not in _rules(tmp_path, {
+        "mod.py": """
+            import numpy as np
+
+            def noise(n, seed):
+                return np.random.default_rng(seed).random(n)
+        """,
+        "rng.py": """
+            import numpy as np
+
+            def entropy_rng():
+                return np.random.default_rng()
+        """})
 
 
 # ---------------------------------------------------------------------------

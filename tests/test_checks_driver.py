@@ -1,4 +1,4 @@
-"""Driver behaviour: crash containment, --only/--jobs, baseline lifecycle.
+"""Driver behaviour: crash containment, --rule selection, baseline lifecycle.
 
 A crashing analyzer must cost exit code 3 and a ``<prefix>000`` finding
 — never the findings (or the SARIF artifact) of the analyzers that
@@ -26,7 +26,7 @@ from repro.checks.findings import (
     Suppression,
     update_baseline,
 )
-from repro.checks.hotpath import check_hotpath, load_hot_root_config
+from repro.checks.hotpath import check_hotpath
 from repro.errors import CheckError
 
 
@@ -70,7 +70,7 @@ def test_analyzer_crash_reports_000_and_exit_3(monkeypatch):
 
 def test_crash_still_emits_sarif_for_succeeded_analyzers(monkeypatch):
     monkeypatch.setitem(driver_mod.ANALYZERS, "codegen", ("CG", _boom))
-    monkeypatch.setitem(driver_mod.ANALYZERS, "lint", ("PL", _planted))
+    monkeypatch.setitem(driver_mod.ANALYZERS, "ensemble", ("EA", _planted))
     report = run_checks()
     doc = json.loads(report.render("sarif"))
     rules = {r["ruleId"] for r in doc["runs"][0]["results"]}
@@ -90,48 +90,23 @@ def test_crash_finding_survives_rule_filter(monkeypatch):
 def test_check_error_is_still_a_000_finding(monkeypatch):
     def raise_check_error(opts):
         raise CheckError("cannot load corpus")
-    monkeypatch.setitem(driver_mod.ANALYZERS, "lint",
-                        ("PL", raise_check_error))
+    monkeypatch.setitem(driver_mod.ANALYZERS, "ensemble",
+                        ("EA", raise_check_error))
     report = run_checks()
     assert report.exit_code == EXIT_ANALYZER_CRASH
-    assert [f.rule for f in report.findings] == ["PL000"]
+    assert [f.rule for f in report.findings] == ["EA000"]
     assert "cannot load corpus" in report.findings[0].message
 
 
 # ---------------------------------------------------------------------------
-# --only and --jobs
+# --rule selection
 # ---------------------------------------------------------------------------
 
 
-def test_only_selects_by_name_and_prefix():
-    by_name = run_checks(only=["determinism"])
-    assert by_name.analyzers_run == ["determinism"]
-    by_prefix = run_checks(only=["DT", "resources"])
-    assert by_prefix.analyzers_run == ["determinism", "resources"]
-
-
-def test_only_unknown_analyzer_raises():
-    with pytest.raises(CheckError, match="unknown analyzer"):
-        run_checks(only=["nosuch"])
-
-
-def test_only_composes_with_rule_filter():
-    report = run_checks(only=["lint", "concurrency"], rules=["LK"])
-    assert report.analyzers_run == ["concurrency"]
-
-
-def test_jobs_parallel_run_matches_serial(monkeypatch):
-    monkeypatch.setitem(driver_mod.ANALYZERS, "lint", ("PL", _planted))
-    serial = run_checks()
-    parallel = run_checks(jobs=4)
-    assert parallel.analyzers_run == serial.analyzers_run
-    assert parallel.findings == serial.findings
-    assert set(parallel.timings) == set(serial.timings)
-
-
-def test_jobs_must_be_positive():
-    with pytest.raises(CheckError, match="jobs"):
-        run_checks(jobs=0)
+def test_rule_prefix_selects_whole_analyzers():
+    assert run_checks(rules=["DT"]).analyzers_run == ["determinism"]
+    both = run_checks(rules=["RS", "dt"])
+    assert both.analyzers_run == ["determinism", "resources"]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +115,7 @@ def test_jobs_must_be_positive():
 
 
 def test_baseline_roundtrip_and_drift(monkeypatch, tmp_path):
-    monkeypatch.setitem(driver_mod.ANALYZERS, "lint", ("PL", _planted))
+    monkeypatch.setitem(driver_mod.ANALYZERS, "ensemble", ("EA", _planted))
     baseline_path = tmp_path / "baseline.toml"
 
     # Finding is new without a baseline; --update-baseline grandfathers
@@ -180,7 +155,7 @@ def test_baseline_roundtrip_and_drift(monkeypatch, tmp_path):
 
 
 def test_hand_written_reason_survives_update(monkeypatch, tmp_path):
-    monkeypatch.setitem(driver_mod.ANALYZERS, "lint", ("PL", _planted))
+    monkeypatch.setitem(driver_mod.ANALYZERS, "ensemble", ("EA", _planted))
     baseline_path = tmp_path / "baseline.toml"
     update_baseline(run_checks().findings, baseline_path)
     baseline_path.write_text(baseline_path.read_text().replace(
@@ -200,31 +175,31 @@ def test_hand_written_reason_survives_update(monkeypatch, tmp_path):
 
 def test_stale_suppression_warned_on_full_run():
     loaded = Baseline(suppressions=[
-        Suppression(rule="PL004", path="src/repro/nonexistent.py", line=1)])
+        Suppression(rule="DT003", path="src/repro/nonexistent.py", line=1)])
     report = run_checks(baseline=loaded)
     assert len(report.stale_suppressions) == 1
     warning = report.stale_warnings()[0]
-    assert "PL004" in warning
+    assert "DT003" in warning
     assert "src/repro/nonexistent.py:1" in warning
     payload = json.loads(report.render("json"))
     assert payload["stale_suppressions"] == [
-        {"rule": "PL004", "path": "src/repro/nonexistent.py",
+        {"rule": "DT003", "path": "src/repro/nonexistent.py",
          "line": 1, "reason": ""}]
 
 
 def test_stale_detection_suppressed_on_filtered_runs():
-    # A --only/--rule run never saw most findings, so a non-matching
-    # entry proves nothing — no stale warnings.
+    # A --rule run never saw most findings, so a non-matching entry
+    # proves nothing — no stale warnings.
     loaded = Baseline(suppressions=[
-        Suppression(rule="PL004", path="src/repro/nonexistent.py", line=1)])
+        Suppression(rule="DT003", path="src/repro/nonexistent.py", line=1)])
     assert run_checks(baseline=loaded,
-                      only=["lint"]).stale_suppressions == []
+                      rules=["DT"]).stale_suppressions == []
     assert run_checks(baseline=loaded,
-                      rules=["PL"]).stale_suppressions == []
+                      rules=["DT003"]).stale_suppressions == []
 
 
 # ---------------------------------------------------------------------------
-# hotpath driver hygiene (--only hp, --jobs determinism, stale pruning)
+# hotpath driver hygiene (--rule HP, stale pruning)
 # ---------------------------------------------------------------------------
 
 #: The grandfathered findings a baseline-less hotpath run reports: the
@@ -241,23 +216,13 @@ def _real_hotpath(monkeypatch):
                         ("HP", lambda opts: check_hotpath()))
 
 
-@pytest.mark.parametrize("token", ["hp", "HP", "hotpath"])
-def test_only_selects_hotpath_by_name_and_prefix(monkeypatch, token):
+@pytest.mark.parametrize("token", ["hp", "HP"])
+def test_rule_prefix_selects_hotpath(monkeypatch, token):
     _real_hotpath(monkeypatch)
-    report = run_checks(only=[token])
+    report = run_checks(rules=[token])
     assert report.analyzers_run == ["hotpath"]
     assert [(f.rule, f.path) for f in report.findings] == _HP_DEBTS
     assert report.exit_code == EXIT_FINDINGS   # no baseline passed
-
-
-def test_hp_findings_deterministic_under_jobs(monkeypatch):
-    _real_hotpath(monkeypatch)
-    serial = run_checks(only=["hotpath", "determinism", "resources"])
-    parallel = run_checks(only=["hotpath", "determinism", "resources"],
-                          jobs=4)
-    assert parallel.analyzers_run == serial.analyzers_run
-    assert parallel.findings == serial.findings
-    assert [(f.rule, f.path) for f in serial.findings] == _HP_DEBTS
 
 
 def test_stale_hp_suppression_pruned_on_update(monkeypatch, tmp_path):
@@ -267,29 +232,9 @@ def test_stale_hp_suppression_pruned_on_update(monkeypatch, tmp_path):
         '[[suppress]]\nrule = "HP005"\n'
         'path = "src/repro/gone.py"\nline = 1\n'
         'reason = "fixed long ago"\n')
-    report = run_checks(only=["hotpath"])
+    report = run_checks(rules=["HP"])
     kept, added, dropped = update_baseline(report.findings, baseline_path)
     assert (kept, added, dropped) == (0, len(_HP_DEBTS), 1)
     assert "HP005" not in baseline_path.read_text()
-    assert run_checks(only=["hotpath"],
+    assert run_checks(rules=["HP"],
                       baseline=baseline_path).exit_code == 0
-
-
-def test_hotpath_section_survives_baseline_update(monkeypatch, tmp_path):
-    # --update-baseline rewrites the suppression tables; the [hotpath]
-    # root declarations share the file and must come through verbatim.
-    monkeypatch.setitem(driver_mod.ANALYZERS, "lint", ("PL", _planted))
-    baseline_path = tmp_path / "baseline.toml"
-    baseline_path.write_text(
-        '[[suppress]]\nrule = "CG777"\nreason = "dead entry"\n'
-        '\n'
-        '[hotpath]\n'
-        'roots = ["Service.handle"]\n'
-        'per_element_roots = ["Model.predict_one"]\n')
-    kept, added, dropped = update_baseline(
-        run_checks().findings, baseline_path)
-    assert (kept, added, dropped) == (0, 1, 1)
-    text = baseline_path.read_text()
-    assert 'roots = ["Service.handle"]' in text
-    assert load_hot_root_config(baseline_path) == (
-        ["Service.handle"], ["Model.predict_one"])

@@ -129,31 +129,32 @@ def test_ex002_reraise_is_clean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# EX003 — raise in handler without `from`
+# EX007 — untyped raise anywhere in library code
 # ---------------------------------------------------------------------------
 
 
-def test_ex003_cause_lost(tmp_path):
-    assert "EX003" in _rules(tmp_path, {"serving/api.py": """
+def test_ex007_untyped_raise_outside_boundary_packages(tmp_path):
+    findings = [f for f in _findings(tmp_path, {"core/model.py": """
+        def fit(rows):
+            if not rows:
+                raise ValueError("no rows")
+            return rows
+    """}) if f.rule == "EX007"]
+    assert [f.line for f in findings] == [4]
+    assert "ValueError" in findings[0].message
+
+
+def test_ex007_typed_raises_are_clean(tmp_path):
+    assert "EX007" not in _rules(tmp_path, {"core/model.py": """
         from errors import ServingError
 
-        def convert(fn):
-            try:
-                return fn()
-            except ValueError:
-                raise ServingError("bad value")
-    """})
+        class FitError(ServingError):
+            pass
 
-
-def test_ex003_from_is_clean(tmp_path):
-    assert "EX003" not in _rules(tmp_path, {"serving/api.py": """
-        from errors import ServingError
-
-        def convert(fn):
-            try:
-                return fn()
-            except ValueError as exc:
-                raise ServingError("bad value") from exc
+        def fit(rows):
+            if not rows:
+                raise FitError("no rows")
+            raise NotImplementedError
     """})
 
 

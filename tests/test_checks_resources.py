@@ -71,6 +71,78 @@ def test_lock_try_finally_is_clean(tmp_path):
     """}) == set()
 
 
+_MANUAL_PAIR = """
+    import threading
+
+    class Manual:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._n = 0
+
+        def bump(self):
+            self._lock.acquire()
+            try:
+                self._n += 1
+            finally:
+                self._lock.release()
+"""
+
+
+def test_rs001_clean_on_correct_manual_pair(tmp_path):
+    assert _rules(tmp_path, {"mod.py": _MANUAL_PAIR}) == set()
+
+
+def test_rs001_mutation_deleting_release_fires(tmp_path):
+    # Mutation test: delete the release() from the correct pattern and
+    # the analyzer must notice the lock can leak out of the function.
+    mutated = _MANUAL_PAIR.replace(
+        "                self._lock.release()\n", "                pass\n")
+    assert mutated != _MANUAL_PAIR
+    findings = [f for f in _findings(tmp_path, {"mod.py": mutated})
+                if f.rule == "RS001"]
+    assert len(findings) == 1
+    assert "self._lock" in findings[0].message
+
+
+def test_rs001_fires_when_one_branch_skips_release(tmp_path):
+    assert "RS001" in _rules(tmp_path, {"mod.py": """
+        import threading
+
+        class Leaky:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._ready = False
+
+            def maybe(self):
+                self._lock.acquire()
+                if self._ready:
+                    self._lock.release()
+    """})
+
+
+def test_rs001_exempts_explicit_lock_protocol_methods(tmp_path):
+    # __enter__/acquire return with the lock held by contract; the
+    # matching __exit__/release pays it back.
+    assert _rules(tmp_path, {"mod.py": """
+        import threading
+
+        class Guard:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def __enter__(self):
+                self._lock.acquire()
+                return self
+
+            def __exit__(self, *exc):
+                self._lock.release()
+
+            def acquire(self, work):
+                self._lock.acquire()
+                work()
+    """}) == set()
+
+
 # ---------------------------------------------------------------------------
 # RS003/RS004/RS007/RS008 — handle lifecycles
 # ---------------------------------------------------------------------------

@@ -67,11 +67,11 @@ def test_whole_file_findings_omit_region():
 
 
 def test_suppressed_findings_carry_suppressions():
-    doc = _render(findings=[_finding(rule="PL001")],
+    doc = _render(findings=[_finding(rule="EX007")],
                   suppressed=[_finding(rule="LK002")])
     results = doc["runs"][0]["results"]
     assert len(results) == 2
-    live = next(r for r in results if r["ruleId"] == "PL001")
+    live = next(r for r in results if r["ruleId"] == "EX007")
     muted = next(r for r in results if r["ruleId"] == "LK002")
     assert "suppressions" not in live
     assert muted["suppressions"][0]["kind"] == "external"

@@ -529,7 +529,7 @@ class TestBatcherRobustness:
     def test_submit_without_deadline_is_bounded(self):
         # Regression: timeout=None must not become an unbounded
         # future.result(None) — a wedged worker surfaces as a typed
-        # timeout (RT002), never a hang.
+        # timeout (LK010), never a hang.
         import threading
         release, entered = threading.Event(), threading.Event()
         batcher = self._blocked_batcher(release, entered)
