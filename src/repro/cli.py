@@ -128,7 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-rows", type=int, default=256,
                        help="max feature rows coalesced per native call")
     serve.add_argument("--batch-wait-ms", type=float, default=2.0,
-                       help="micro-batch coalescing window")
+                       help="cap on how long a micro-batch waits for "
+                            "other requests (a request to an idle "
+                            "service does not wait it out)")
     serve.add_argument("--queue-size", type=int, default=512,
                        help="admission-control bound on queued requests")
     serve.add_argument("--cache-size", type=int, default=1024,

@@ -5,10 +5,19 @@ overhead over many rows (Table 2 of the paper: batch evaluation beats
 back-to-back single calls by orders of magnitude). The
 :class:`MicroBatcher` exploits that under concurrency: requests enqueue
 their per-pipeline feature matrices, a single worker thread drains the
-queue — waiting at most ``max_wait_s`` to coalesce up to
-``max_batch_rows`` rows — stacks the vectors, makes **one**
-``predict_raw_batch`` native call, and scatters the slices back to the
-waiting callers.
+queue — coalescing up to ``max_batch_rows`` rows — stacks the vectors,
+makes **one** ``predict_raw_batch`` native call, and scatters the slices
+back to the waiting callers.
+
+The worker waits for company only while company can arrive. Given a
+:class:`Pending` count (the service counts each request from entry
+until it is enqueued here or returns without enqueuing), it stops
+coalescing once that count is zero and the queue is empty, provided
+the batch has company or the batcher was quiet for ``max_wait_s``
+before it: a request to an idle batcher never waits out the window,
+while a lone request amid traffic still waits for company, which may
+be a thread that has not reached the count yet. ``max_wait_s`` caps
+every wait. Without a count the worker waits out the full window.
 
 Admission control is part of the contract: the queue is bounded
 (:class:`~repro.errors.QueueFullError` when full, and
@@ -28,6 +37,7 @@ caller blocked past the close timeout.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -49,7 +59,7 @@ from ..errors import (
 from ..faults import FaultInjector, get_injector
 from .telemetry import MetricsRegistry
 
-__all__ = ["BatcherStats", "MicroBatcher"]
+__all__ = ["BatcherStats", "MicroBatcher", "Pending"]
 
 _SHUTDOWN = object()
 
@@ -91,12 +101,49 @@ class BatcherStats:
         return self.rows / self.batches if self.batches else 0.0
 
 
+class Pending:
+    """Thread-safe count of requests that may still join a batch.
+
+    ``with pending:`` counts the block as one request; it stops
+    counting at :meth:`leave` (the batcher calls it once the request
+    is enqueued) or at the end of the block, whichever comes first.
+    Calling the object reads the count. A request is tracked per
+    thread, so :meth:`leave` from an uncounted thread does nothing.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._count = 0
+        self._local = threading.local()
+
+    def __enter__(self) -> "Pending":
+        with self._lock:
+            self._count += 1
+            self._local.counted = True
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.leave()
+
+    def leave(self) -> None:
+        with self._lock:
+            if getattr(self._local, "counted", False):
+                self._local.counted = False
+                self._count -= 1
+
+    def __call__(self) -> int:
+        with self._lock:
+            return self._count
+
+
 class MicroBatcher:
     """Coalesce concurrent requests into single native batch calls.
 
     ``predict_batch`` maps a stacked ``(rows, n_features)`` matrix to a
     vector of raw predictions; :meth:`submit` returns the slice
-    belonging to the caller's vectors, in order.
+    belonging to the caller's vectors, in order. ``pending`` counts the
+    requests that may still join a batch; without it the worker
+    coalesces for the whole ``max_wait_s`` window.
     """
 
     def __init__(self, predict_batch: Callable[[np.ndarray], np.ndarray],
@@ -106,7 +153,8 @@ class MicroBatcher:
                  shed_watermark: Optional[int] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  name: str = "default",
-                 injector: Optional[FaultInjector] = None):
+                 injector: Optional[FaultInjector] = None,
+                 pending: Optional[Pending] = None):
         if max_batch_rows < 1:
             raise ConfigurationError("max_batch_rows must be >= 1")
         if queue_capacity < 1:
@@ -129,6 +177,7 @@ class MicroBatcher:
         self._worker: Optional[threading.Thread] = None
         self._started = threading.Event()
         self._closed = threading.Event()
+        self._pending = pending
         if metrics is not None:
             self._m_batch_rows = metrics.histogram(
                 "t3_serving_batch_rows",
@@ -270,6 +319,8 @@ class MicroBatcher:
             raise QueueFullError(
                 f"prediction queue full ({self.queue_capacity} waiting); "
                 "retry later or raise queue_capacity") from None
+        if self._pending is not None:
+            self._pending.leave()   # after the put: see _no_more_company
         with self._stats_lock:
             self._stats.requests += 1
         if self._closed.is_set():
@@ -323,6 +374,7 @@ class MicroBatcher:
     # -- worker -----------------------------------------------------------
 
     def _run(self) -> None:
+        last_batch_done = -math.inf   # monotonic seconds
         while True:
             try:
                 # Bounded wait (LK009): re-check the closed flag every
@@ -336,11 +388,13 @@ class MicroBatcher:
                 return
             batch: List[_Request] = [item]
             rows = len(item.vectors)
-            coalesce_until = time.monotonic() + self.max_wait_s
+            now = time.monotonic()
+            coalesce_until = now + self.max_wait_s
+            quiet = now - last_batch_done >= self.max_wait_s
             shutdown = False
             while rows < self.max_batch_rows:
                 remaining = coalesce_until - time.monotonic()
-                if remaining <= 0:
+                if remaining <= 0 or self._no_more_company(batch, quiet):
                     break
                 try:
                     nxt = self._queue.get(timeout=remaining)
@@ -352,8 +406,23 @@ class MicroBatcher:
                 batch.append(nxt)
                 rows += len(nxt.vectors)
             self._evaluate(batch)
+            last_batch_done = time.monotonic()
             if shutdown:
                 return
+
+    def _no_more_company(self, batch: List[_Request], quiet: bool) -> bool:
+        """Whether ``batch`` may leave before its window runs out.
+
+        Only with a pending count, once nothing is pending or queued,
+        and only if the batch has company or the batcher was quiet for
+        a whole window before it. A lone request amid traffic waits:
+        callers not yet counted (threads just started) may be on their
+        way, and the window is what lets them coalesce. The count is
+        read first: a request enqueues before it stops counting.
+        """
+        return (self._pending is not None
+                and (quiet or len(batch) > 1)
+                and self._pending() == 0 and self._queue.empty())
 
     def _evaluate(self, batch: List[_Request]) -> None:
         now = time.monotonic()

@@ -12,6 +12,7 @@ service wires those counts into the metrics registry.
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -24,38 +25,29 @@ __all__ = ["CacheStats", "LRUCache", "normalize_sql"]
 _MISSING = object()
 
 
+#: A single-quoted literal; an unterminated one runs to the end.
+_LITERAL = re.compile(r"('[^']*(?:'|\Z))")
+_WHITESPACE = re.compile(r"\s+")
+
+
 def normalize_sql(sql: str) -> str:
     """Canonical cache-key form of a SQL string.
 
     Lowercases and collapses whitespace *outside* single-quoted string
-    literals (which stay byte-for-byte intact), and drops a trailing
-    semicolon — so ``"SELECT * FROM t;"`` and ``"select *\n from  t"``
-    share a cache entry while ``'abc'`` and ``'ABC'`` do not.
+    literals (which stay byte-for-byte intact, an unterminated one up
+    to the end of the string), and drops a trailing semicolon — so
+    ``"SELECT * FROM t;"`` and ``"select *\n from  t"`` share a cache
+    entry while ``'abc'`` and ``'ABC'`` do not. Text outside literals
+    is lowered a segment at a time, so Python's final-sigma rule
+    applies (``"ΣΑΣ"`` → ``"σας"``, not ``"σασ"``).
     """
-    out = []
-    in_literal = False
-    pending_space = False
-    for ch in sql:
-        if in_literal:
-            out.append(ch)
-            if ch == "'":
-                in_literal = False
-            continue
-        if ch == "'":
-            if pending_space and out:
-                out.append(" ")
-            pending_space = False
-            out.append(ch)
-            in_literal = True
-            continue
-        if ch.isspace():
-            pending_space = True
-            continue
-        if pending_space and out:
-            out.append(" ")
-        pending_space = False
-        out.append(ch.lower())
-    normalized = "".join(out)
+    # Even indices are the text between literals, odd ones the literals.
+    parts = _LITERAL.split(sql)
+    parts[0] = parts[0].lstrip()
+    parts[-1] = parts[-1].rstrip()
+    for i in range(0, len(parts), 2):
+        parts[i] = _WHITESPACE.sub(" ", parts[i]).lower()
+    normalized = "".join(parts)
     if normalized.endswith(";"):
         normalized = normalized[:-1].rstrip()
     return normalized

@@ -49,7 +49,6 @@ from ..errors import (
     RequestTimeoutError,
     SchemaError,
     ServiceClosedError,
-    ServingError,
 )
 from ..core.ablation import TargetMode
 from ..core.targets import inverse_transform
@@ -69,7 +68,7 @@ from ..faults import (
 )
 from ..rng import DEFAULT_SEED
 from ..treecomp.compiler import compiler_info
-from .batching import MicroBatcher
+from .batching import MicroBatcher, Pending
 from .cache import LRUCache, normalize_sql
 from .fallback import AnalyticBaseline
 from .registry import ModelEntry, ModelRegistry
@@ -105,7 +104,10 @@ class ServingConfig:
     """Tunables of the serving path."""
 
     max_batch_rows: int = 256        # rows coalesced per native call
-    batch_wait_s: float = 0.002      # micro-batch coalescing window
+    #: Cap on how long a batch waits for other requests; a batch leaves
+    #: early once none is on its way, if it has company or the batcher
+    #: was idle for this long before it.
+    batch_wait_s: float = 0.002
     queue_capacity: int = 512        # admission control bound
     plan_cache_size: int = 1024      # (model, instance, sql) entries
     default_timeout_s: float = 5.0   # per-request deadline
@@ -230,6 +232,11 @@ class PredictionService:
         self._canary_counter = itertools.count()
         self._started_at = time.time()
         self._closed = threading.Event()
+        #: Requests not yet enqueued to a batcher; every batcher stops
+        #: coalescing once none is left (the count is service-wide, so
+        #: a request for another model also holds a batch, up to
+        #: ``batch_wait_s``).
+        self._pending = Pending()
         self._health = HealthTracker(
             degraded_linger_s=self.config.degraded_linger_s)
         self._health.add_probe("breaker_not_closed", self._any_breaker_open)
@@ -310,34 +317,35 @@ class PredictionService:
         every stage — a request that cannot finish in time is shed with
         :class:`~repro.errors.DeadlineExceeded`, never evaluated late.
         """
-        if self._closed.is_set():
-            raise ServiceClosedError("service is closed")
-        started = time.perf_counter()
-        deadline = self._resolve_deadline(timeout, deadline)
-        try:
-            entry = self._resolve_entry(model, version)
-            vectors, cards, parse_s, featurize_s, hit = \
-                self._plan_features(entry, instance, sql)
-            infer_started = time.perf_counter()
-            total, pipeline_seconds, fallback = self._predict_times(
-                entry, vectors, cards, deadline)
-            infer_s = time.perf_counter() - infer_started
-        except Exception as exc:
-            self._m_errors.inc()
-            self._note_shed(exc)
-            raise
-        total_s = time.perf_counter() - started
-        self._m_requests.inc()
-        self._observe_front_stages(parse_s, featurize_s, hit)
-        self._m_infer.observe(infer_s)
-        self._m_total.observe(total_s)
-        return PredictionResult(
-            predicted_seconds=total, pipeline_seconds=pipeline_seconds,
-            model_name=entry.name, model_version=entry.version,
-            backend=entry.backend, cache_hit=hit,
-            parse_seconds=parse_s, featurize_seconds=featurize_s,
-            infer_seconds=infer_s, total_seconds=total_s,
-            degraded=fallback is not None, fallback=fallback)
+        with self._pending:
+            if self._closed.is_set():
+                raise ServiceClosedError("service is closed")
+            started = time.perf_counter()
+            deadline = self._resolve_deadline(timeout, deadline)
+            try:
+                entry = self._resolve_entry(model, version)
+                vectors, cards, parse_s, featurize_s, hit = \
+                    self._plan_features(entry, instance, sql)
+                infer_started = time.perf_counter()
+                total, pipeline_seconds, fallback = self._predict_times(
+                    entry, vectors, cards, deadline)
+                infer_s = time.perf_counter() - infer_started
+            except Exception as exc:
+                self._m_errors.inc()
+                self._note_shed(exc)
+                raise
+            total_s = time.perf_counter() - started
+            self._m_requests.inc()
+            self._observe_front_stages(parse_s, featurize_s, hit)
+            self._m_infer.observe(infer_s)
+            self._m_total.observe(total_s)
+            return PredictionResult(
+                predicted_seconds=total, pipeline_seconds=pipeline_seconds,
+                model_name=entry.name, model_version=entry.version,
+                backend=entry.backend, cache_hit=hit,
+                parse_seconds=parse_s, featurize_seconds=featurize_s,
+                infer_seconds=infer_s, total_seconds=total_s,
+                degraded=fallback is not None, fallback=fallback)
 
     def predict_many(self, requests: Sequence[Tuple[str, str]],
                      model: Optional[str] = None,
@@ -355,59 +363,60 @@ class PredictionService:
         overhead is paid once per batch instead of once per query.
         The degradation chain applies to the whole batch at once.
         """
-        if self._closed.is_set():
-            raise ServiceClosedError("service is closed")
-        if not requests:
-            return []
-        started = time.perf_counter()
-        deadline = self._resolve_deadline(timeout, deadline)
-        try:
-            entry = self._resolve_entry(model, version)
-            fronts = [self._plan_features(entry, instance, sql)
-                      for sql, instance in requests]
-            infer_started = time.perf_counter()
-            stacked = (fronts[0][0] if len(fronts) == 1
-                       else np.vstack([front[0] for front in fronts]))
-            raw, fallback = self._infer_raw(entry, stacked, deadline)
-            infer_s = time.perf_counter() - infer_started
-        except Exception as exc:
-            self._m_errors.inc()
-            self._note_shed(exc)
-            raise
-        results = []
-        offset = 0
-        per_query = entry.model.config.target_mode is TargetMode.PER_QUERY
-        for vectors, cards, parse_s, featurize_s, hit in fronts:
-            rows = len(vectors)
-            if raw is None:   # analytic rung: no raw scores exist
-                times = self._analytic.pipeline_times(vectors, cards)
-                pipeline_seconds: Tuple[float, ...] = \
-                    () if per_query else tuple(float(t) for t in times)
-                total = float(times.sum())
-            else:
-                slice_raw = raw[offset:offset + rows]
-                if per_query:
-                    total = float(inverse_transform(slice_raw)[0])
-                    pipeline_seconds = ()
-                else:
-                    times = entry.model.pipeline_times_from_raw(
-                        slice_raw, cards)
-                    pipeline_seconds = tuple(float(t) for t in times)
+        with self._pending:
+            if self._closed.is_set():
+                raise ServiceClosedError("service is closed")
+            if not requests:
+                return []
+            started = time.perf_counter()
+            deadline = self._resolve_deadline(timeout, deadline)
+            try:
+                entry = self._resolve_entry(model, version)
+                fronts = [self._plan_features(entry, instance, sql)
+                          for sql, instance in requests]
+                infer_started = time.perf_counter()
+                stacked = (fronts[0][0] if len(fronts) == 1
+                           else np.vstack([front[0] for front in fronts]))
+                raw, fallback = self._infer_raw(entry, stacked, deadline)
+                infer_s = time.perf_counter() - infer_started
+            except Exception as exc:
+                self._m_errors.inc()
+                self._note_shed(exc)
+                raise
+            results = []
+            offset = 0
+            per_query = entry.model.config.target_mode is TargetMode.PER_QUERY
+            for vectors, cards, parse_s, featurize_s, hit in fronts:
+                rows = len(vectors)
+                if raw is None:   # analytic rung: no raw scores exist
+                    times = self._analytic.pipeline_times(vectors, cards)
+                    pipeline_seconds: Tuple[float, ...] = \
+                        () if per_query else tuple(float(t) for t in times)
                     total = float(times.sum())
-            offset += rows
-            self._m_requests.inc()
-            self._observe_front_stages(parse_s, featurize_s, hit)
-            results.append(PredictionResult(
-                predicted_seconds=total, pipeline_seconds=pipeline_seconds,
-                model_name=entry.name, model_version=entry.version,
-                backend=entry.backend, cache_hit=hit,
-                parse_seconds=parse_s, featurize_seconds=featurize_s,
-                infer_seconds=infer_s,
-                total_seconds=time.perf_counter() - started,
-                degraded=fallback is not None, fallback=fallback))
-        self._m_infer.observe(infer_s)
-        self._m_total.observe(time.perf_counter() - started)
-        return results
+                else:
+                    slice_raw = raw[offset:offset + rows]
+                    if per_query:
+                        total = float(inverse_transform(slice_raw)[0])
+                        pipeline_seconds = ()
+                    else:
+                        times = entry.model.pipeline_times_from_raw(
+                            slice_raw, cards)
+                        pipeline_seconds = tuple(float(t) for t in times)
+                        total = float(times.sum())
+                offset += rows
+                self._m_requests.inc()
+                self._observe_front_stages(parse_s, featurize_s, hit)
+                results.append(PredictionResult(
+                    predicted_seconds=total, pipeline_seconds=pipeline_seconds,
+                    model_name=entry.name, model_version=entry.version,
+                    backend=entry.backend, cache_hit=hit,
+                    parse_seconds=parse_s, featurize_seconds=featurize_s,
+                    infer_seconds=infer_s,
+                    total_seconds=time.perf_counter() - started,
+                    degraded=fallback is not None, fallback=fallback))
+            self._m_infer.observe(infer_s)
+            self._m_total.observe(time.perf_counter() - started)
+            return results
 
     def _observe_front_stages(self, parse_s: float, featurize_s: float,
                               hit: bool) -> None:
@@ -698,7 +707,8 @@ class PredictionService:
                     shed_watermark=self.config.shed_watermark_depth,
                     metrics=self.metrics,
                     name=entry.key,
-                    injector=self._injector).start()
+                    injector=self._injector,
+                    pending=self._pending).start()
                 self._batchers[entry.key] = batcher
             return batcher
 

@@ -6,9 +6,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     ConfigurationError,
+    DeadlineExceeded,
     ModelNotFoundError,
     QueueFullError,
     RequestTimeoutError,
@@ -101,6 +103,65 @@ class TestNormalizeSQL:
     def test_equivalent_queries_share_keys(self):
         assert (normalize_sql("SELECT count(*) FROM orders;")
                 == normalize_sql("select   COUNT(*)\nFROM orders"))
+
+    @pytest.mark.parametrize("sql, expected", [
+        ("  SELECT 1  ", "select 1"),
+        ("a  'X  Y'  b", "a 'X  Y' b"),
+        ("a'X'b", "a'X'b"),
+        ("'it''S'", "'it''S'"),
+        ("SELECT 'ABC  ", "select 'ABC  "),
+        ("SELECT 'ABC ;", "select 'ABC"),
+        ("SELECT 1 \t;", "select 1"),
+        ("SELECT 1;;", "select 1;"),
+        # Segments are lowered whole, so the final-sigma rule applies
+        # (the character loop below gives "σασ").
+        ("ΣΑΣ 'ΣΑΣ'", "σας 'ΣΑΣ'"),
+    ])
+    def test_edge_cases(self, sql, expected):
+        assert normalize_sql(sql) == expected
+
+    # No capital sigma in the alphabet: the final-sigma rule is the one
+    # known divergence from the loop (see test_edge_cases).
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(
+        list("aZ0;'() \t\n\r\x0b\x0c") + ["\x1c", "\x85", "\xa0",
+                                            "\u2003", "\u3000", "Α",
+                                            "İ", "K"]),
+        max_size=40))
+    def test_matches_character_loop(self, sql):
+        assert normalize_sql(sql) == _normalize_sql_loop(sql)
+
+
+def _normalize_sql_loop(sql):
+    """Reference: the character-at-a-time normalizer ``normalize_sql``
+    replaced, kept to pin its exact output."""
+    out = []
+    in_literal = False
+    pending_space = False
+    for ch in sql:
+        if in_literal:
+            out.append(ch)
+            if ch == "'":
+                in_literal = False
+            continue
+        if ch == "'":
+            if pending_space and out:
+                out.append(" ")
+            pending_space = False
+            out.append(ch)
+            in_literal = True
+            continue
+        if ch.isspace():
+            pending_space = True
+            continue
+        if pending_space and out:
+            out.append(" ")
+        pending_space = False
+        out.append(ch.lower())
+    normalized = "".join(out)
+    if normalized.endswith(";"):
+        normalized = normalized[:-1].rstrip()
+    return normalized
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +610,175 @@ class TestPredictionService:
         batches = service.metrics.get("t3_serving_batches_total").value
         # 1 warmup batch + coalesced concurrent batches: fewer than 1 + 8
         assert batches < 9
+
+
+# ---------------------------------------------------------------------------
+# Coalescing only while company can arrive
+# ---------------------------------------------------------------------------
+
+
+#: A window no lone request may wait out: any answer in under a second
+#: proves the batcher stopped waiting once the request had joined.
+_LONG_WAIT = ServingConfig(batch_wait_s=5.0, default_timeout_s=30.0)
+
+
+class TestCoalesceWithCompany:
+    def _service(self, toy_model, resolver, config=_LONG_WAIT):
+        registry = ModelRegistry()
+        registry.register(toy_model, "m")
+        return PredictionService(registry, config,
+                                 instance_resolver=resolver)
+
+    def _assert_lone_request_fast(self, service, limit=1.0):
+        """No request is left counted, and a lone one after a quiet
+        window skips the rest of the window (a leaked count would hold
+        it for all of it)."""
+        assert service._pending() == 0
+        started = time.monotonic()
+        service.predict_many([(SQL, "toy"),
+                              ("SELECT count(*) FROM customer", "toy")])
+        assert time.monotonic() - started < limit
+        assert service._pending() == 0
+
+    def _gate(self, service):
+        """Hold the first native batch call until the returned
+        ``release`` is set; ``entered`` is set once it is held."""
+        batcher = service._batcher_for(service.registry.get("m"))
+        predict = batcher._predict_batch
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def gated(X):
+            calls.append(len(X))
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(10.0)
+            return predict(X)
+
+        batcher._predict_batch = gated
+        return batcher, entered, release
+
+    def test_lone_predict_skips_the_window(self, toy_model, resolver):
+        service = self._service(toy_model, resolver)
+        started = time.monotonic()
+        service.predict(SQL, "toy")
+        assert time.monotonic() - started < 1.0
+
+    def test_lone_predict_many_skips_the_window(self, toy_model, resolver):
+        self._assert_lone_request_fast(self._service(toy_model, resolver))
+
+    def test_lone_request_amid_traffic_waits_for_company(self, toy_model,
+                                                        resolver):
+        # Within a window of the last batch a lone request may be the
+        # first of a burst, so it waits (up to the window) for company.
+        wait = 0.2
+        service = self._service(toy_model, resolver, ServingConfig(
+            batch_wait_s=wait, default_timeout_s=30.0))
+        service.predict(SQL, "toy")
+        started = time.monotonic()
+        service.predict(SQL, "toy")
+        assert time.monotonic() - started >= wait
+
+    def test_no_pending_leak_after_unknown_instance(self, toy_model,
+                                                    resolver):
+        service = self._service(toy_model, resolver)
+        with pytest.raises(SchemaError):
+            service.predict(SQL, "missing")
+        with pytest.raises(SchemaError):
+            service.predict_many([(SQL, "toy"), (SQL, "missing")])
+        self._assert_lone_request_fast(service)
+
+    def test_no_pending_leak_after_expired_deadline(self, toy_model,
+                                                    resolver):
+        service = self._service(toy_model, resolver)
+        past = time.monotonic() - 1.0
+        with pytest.raises(DeadlineExceeded):
+            service.predict(SQL, "toy", deadline=past)
+        with pytest.raises(DeadlineExceeded):
+            service.predict_many([(SQL, "toy")], deadline=past)
+        self._assert_lone_request_fast(service)
+
+    def test_no_pending_leak_after_queue_full(self, toy_model, resolver):
+        wait = 0.5
+        service = self._service(toy_model, resolver, ServingConfig(
+            batch_wait_s=wait, default_timeout_s=30.0, queue_capacity=1,
+            shed_watermark_fraction=1.0))
+        batcher, entered, release = self._gate(service)
+        try:
+            # Direct submissions are not service requests: the first
+            # wedges the worker, the second fills the one-slot queue.
+            vectors = np.ones((1, toy_model.registry.n_features))
+            first = batcher.submit_async(vectors)
+            assert entered.wait(10.0)
+            second = batcher.submit_async(vectors)
+            with pytest.raises(QueueFullError):
+                service.predict(SQL, "toy")
+            with pytest.raises(QueueFullError):
+                service.predict_many([(SQL, "toy")])
+        finally:
+            release.set()
+        first.result(10.0)
+        second.result(10.0)
+        time.sleep(wait * 1.2)   # let the batcher go quiet
+        self._assert_lone_request_fast(service, limit=wait * 0.9)
+
+    def test_no_pending_leak_after_closed_service(self, toy_model,
+                                                  resolver):
+        service = self._service(toy_model, resolver)
+        service._closed.set()   # the batchers and the model stay usable
+        with pytest.raises(ServingError):
+            service.predict(SQL, "toy")
+        with pytest.raises(ServingError):
+            service.predict_many([(SQL, "toy")])
+        service._closed.clear()
+        self._assert_lone_request_fast(service)
+
+    def test_concurrent_requests_still_coalesce(self, toy_model, resolver):
+        service = self._service(toy_model, resolver)
+        expected = service.predict(SQL, "toy")   # warm the plan cache
+        batcher, entered, release = self._gate(service)
+        n_clients = 6
+        results, errors = [], []
+
+        def client():
+            try:
+                results.append(service.predict(SQL, "toy"))
+            except Exception as exc:   # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client)
+                   for _ in range(n_clients)]
+        try:
+            # A direct (uncounted) submission holds the worker, so
+            # every client queues behind it.
+            held = batcher.submit_async(
+                np.ones((1, toy_model.registry.n_features)))
+            assert entered.wait(10.0)
+            requests_before = batcher.stats().requests
+            batches_before = batcher.stats().batches
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10.0
+            while batcher.stats().requests < requests_before + n_clients:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+        finally:
+            release.set()
+        started = time.monotonic()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        elapsed = time.monotonic() - started
+        held.result(10.0)
+        assert errors == []
+        assert len(results) == n_clients
+        assert all(r.cache_hit for r in results)
+        assert {r.predicted_seconds for r in results} == \
+            {expected.predicted_seconds}
+        # The held batch, then all six clients in one more that leaves
+        # once nobody else is on the way, not when the window runs out.
+        assert batcher.stats().batches - batches_before == 2
+        assert elapsed < 4.0
 
 
 # ---------------------------------------------------------------------------
