@@ -7,8 +7,8 @@ nondeterminism sources (wall clock, ``id()`` addresses, unseeded
 ``random``, OS entropy, ``hash()``, set iteration order, process
 identity, environment variables) and tracks them interprocedurally via
 :mod:`repro.checks.interproc` summaries into the seed-critical sinks
-(``repro.rng`` seed derivation, ``repro.parallel`` chunk scheduling,
-``repro.faults`` arming, ``repro.treecomp`` emission).
+(``repro.rng`` seed derivation, ``repro.faults`` arming,
+``repro.treecomp`` emission).
 
 Two lexical rules ride along: DT002 also fires on ``id()`` used as the
 key of a *persistent* container without pinning the keyed object in

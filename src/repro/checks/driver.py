@@ -101,7 +101,6 @@ RULES: Dict[str, str] = {
     "HP000": "hot-path cost analyzer could not run",
     "HP001": "per-element ctypes/FFI round-trip on a hot path",
     "HP002": "accumulating whole-array allocation inside a hot loop",
-    "HP003": "per-item submission across a process boundary in a hot loop",
     "HP004": "blocking IO/subprocess/sleep while holding a lock on a hot path",
     "HP005": "loop-invariant pure call re-evaluated inside a hot loop",
     "HP006": "loop-invariant label/f-string formatting inside a hot loop",

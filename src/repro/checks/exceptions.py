@@ -1,6 +1,6 @@
 """EX: exception-contract analysis (rules EX001-EX007).
 
-The serving, parallel, and faults packages promise their callers a
+The serving and faults packages promise their callers a
 closed error vocabulary: everything that escapes a public function is
 a typed :class:`~repro.errors.ReproError` subtype, and the HTTP front
 end maps each declared service error to a specific JSON envelope. This
@@ -51,9 +51,9 @@ from .interproc import (
 __all__ = ["check_exception_contracts"]
 
 #: Packages whose public functions form the typed-error boundary.
-_BOUNDARY_PACKAGES = ("serving", "parallel", "faults")
+_BOUNDARY_PACKAGES = ("serving", "faults")
 #: Packages held to handler hygiene (EX005/EX006).
-_SCOPE_PACKAGES = ("serving", "parallel", "faults", "treecomp")
+_SCOPE_PACKAGES = ("serving", "faults", "treecomp")
 
 #: Overload/deadline errors that double as control flow: swallowing one
 #: in a broad handler silently converts load shedding into wrong answers.

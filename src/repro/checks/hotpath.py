@@ -3,18 +3,17 @@
 The correctness analyzers (DT/EX/RS/LK/...) prove the system does the
 right thing; this one proves it does the right thing *fast enough to
 matter*. T3's usefulness hinges on prediction latency (the paper's
-22 µs → 4 µs headline), and the roadmap names two standing perf debts —
-one ctypes FFI round-trip per prediction in ``treecomp`` (item 2) and
-per-task pickling in ``repro.parallel`` (item 5). Every HP rule below
-detects one of those shapes, or a close cousin, statically.
+22 µs → 4 µs headline), and the roadmap named a standing perf debt —
+one ctypes FFI round-trip per prediction in ``treecomp`` (item 2).
+Every HP rule below detects that shape, or a close cousin, statically.
 
 The engine: :func:`~repro.checks.interproc.compute_cost_summaries`
 computes a bottom-up fixpoint of per-function **cost summaries**
 (FFI/IO/subprocess/sleep effects, loop-nest depth, per-iteration
 allocation) over the shared call graph. A fixed set of **hot roots**
 (:data:`DEFAULT_HOT_ROOTS`) — the serving predict chain, the
-micro-batcher, featurization fill, the treecomp predict entry points,
-and the process-pool fan-out — seeds a forward reachability pass;
+micro-batcher, featurization fill, the treecomp predict entry points
+and the lifecycle observation hook — seeds a forward reachability pass;
 rules only fire inside functions a hot root can reach, so cold setup
 code (training, CLI, compilation) never produces noise.
 :data:`DEFAULT_PER_ELEMENT_ROOTS` are entry points *called once per
@@ -27,8 +26,6 @@ Rules
 HP001  per-element ctypes/FFI round-trip on a hot path (ROADMAP item 2)
 HP002  accumulating whole-array allocation in a hot loop (the PR 4
        histogram-temporaries shape)
-HP003  per-item submission across a process boundary in a hot loop
-       (ROADMAP item 5)
 HP004  blocking IO/subprocess/sleep while holding a lock on a hot path
        (must-held lock dataflow from :mod:`.cfg`, callee effects from
        the cost summaries)
@@ -98,9 +95,6 @@ DEFAULT_HOT_ROOTS: Tuple[str, ...] = (
     "T3Model.predict_raw_batch",
     "CompiledTreeModel.predict",
     "PythonScalarModel.predict",
-    # process fan-out and its workers
-    "process_map",
-    "_build_chunk",
     # lifecycle: the observation hook rides the serving request path
     "PredictionService.observe",
     "LifecycleManager.on_observation",
@@ -122,9 +116,6 @@ _PURE_CALLS = frozenset({
     "round", "repr", "tuple", "frozenset",
     "math.sqrt", "math.log", "math.exp", "math.floor", "math.ceil",
 })
-
-#: Constructors whose handles ship work across a process boundary.
-_PROCESS_POOLS = frozenset({"ProcessPoolExecutor", "Pool"})
 
 _LOG_METHODS = frozenset({"debug", "info", "warning", "error",
                           "exception", "critical"})
@@ -331,7 +322,6 @@ class _FunctionScan:
         self.findings: List[Finding] = []
         self._callees: Dict[int, Tuple[str, ...]] = {
             id(site.node): site.callees for site in info.calls}
-        self._pool_names = self._find_pool_names()
         self._list_names = self._find_list_names()
 
     # -- shared helpers ------------------------------------------------------
@@ -356,27 +346,6 @@ class _FunctionScan:
             for tag in summary.effects:
                 out.setdefault(tag, qname)
         return out
-
-    def _find_pool_names(self) -> Set[str]:
-        """Local names bound to a process-pool handle."""
-        names: Set[str] = set()
-
-        def pool_call(value: ast.expr) -> bool:
-            if not isinstance(value, ast.Call):
-                return False
-            name = dotted_name(value.func)
-            return (name is not None
-                    and name.split(".")[-1] in _PROCESS_POOLS)
-
-        for node in self.info.own_statements():
-            if isinstance(node, ast.Assign) and pool_call(node.value):
-                names |= _store_names(list(node.targets))
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if pool_call(item.context_expr) \
-                            and item.optional_vars is not None:
-                        names |= _store_names([item.optional_vars])
-        return names
 
     def _find_list_names(self) -> Set[str]:
         """Local names assigned from list-producing expressions."""
@@ -414,7 +383,7 @@ class _FunctionScan:
         self._scan_logging()
         return self.findings
 
-    # -- HP001 / HP003: calls per iteration ----------------------------------
+    # -- HP001: calls per iteration ------------------------------------------
 
     def _scan_loop_calls(self, loop: _Loop) -> None:
         for call in (n for n in _walk_scope(loop.body)
@@ -434,21 +403,6 @@ class _FunctionScan:
                         f"a loop, paying a ctypes FFI round-trip per "
                         f"element; batch the elements into a single FFI "
                         f"call")
-            self._check_hp003(call)
-
-    def _check_hp003(self, call: ast.Call) -> None:
-        func = call.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr in ("submit", "apply_async")):
-            return
-        receiver = func.value
-        if isinstance(receiver, ast.Name) \
-                and receiver.id in self._pool_names:
-            self._emit(
-                "HP003", Severity.ERROR, call.lineno,
-                f"{self._label()}: per-item {receiver.id}.{func.attr}() "
-                f"across a process boundary — each submission pays "
-                f"pickle + IPC; fan out chunks instead of items")
 
     # -- HP002: accumulating allocation --------------------------------------
 

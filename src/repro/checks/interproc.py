@@ -94,8 +94,6 @@ SINK_NAMES: Dict[str, str] = {
     "make_rng": "repro.rng seed derivation",
     "FaultSpec": "repro.faults arming",
     "FaultPlan": "repro.faults arming",
-    "iter_workload_chunks": "repro.parallel chunk scheduling",
-    "WorkloadChunk": "repro.parallel chunk scheduling",
     "generate_c_source": "repro.treecomp emission order",
 }
 
@@ -576,7 +574,6 @@ class ExceptionHierarchy:
             if known:
                 bases.setdefault(name, []).extend(
                     b for b in known if b not in bases.get(name, []))
-        bases.setdefault("BrokenProcessPool", ["Exception"])
         return cls(bases)
 
 

@@ -5,7 +5,7 @@ Subcommands cover the library's end-to-end workflow:
 * ``instances`` — list the 21-instance corpus,
 * ``workload``  — generate and benchmark a workload, saved as a pickle,
 * ``build-workload`` — pre-warm the experiment cache: build the full
-  21-instance workload on a process pool (``--jobs`` / ``REPRO_JOBS``),
+  21-instance workload,
 * ``train``     — train T3 on saved workloads, save the model as JSON,
 * ``evaluate``  — q-error of a saved model on a saved workload,
 * ``explain``   — show plan, pipelines, and feature vectors for a SQL
@@ -41,7 +41,7 @@ from .errors import ReproError
 from .core.model import T3Config, T3Model
 from .core.features import default_registry
 from .datagen.instances import all_instance_names, get_instance
-from .datagen.workload import WorkloadConfig
+from .datagen.workload import WorkloadConfig, build_corpus_workload
 from .engine.cardinality import ExactCardinalityModel
 from .engine.explain import explain, explain_pipelines
 from .engine.optimizer import Optimizer
@@ -65,22 +65,16 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated instance names")
     workload.add_argument("--queries-per-structure", type=int, default=6)
     workload.add_argument("--no-fixed-benchmarks", action="store_true")
-    workload.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (default: REPRO_JOBS env "
-                               "or all cores; 1 = serial)")
     workload.add_argument("-o", "--output", required=True)
 
     build_workload = subcommands.add_parser(
         "build-workload",
         help="pre-warm the experiment cache: build the full corpus "
-             "workload on a process pool")
+             "workload")
     build_workload.add_argument("--scale", default="default",
                                 choices=("smoke", "default", "paper"),
                                 help="experiment scale (queries per "
                                      "structure: 2 / 6 / 40)")
-    build_workload.add_argument("--jobs", type=int, default=None,
-                                help="worker processes (default: REPRO_JOBS "
-                                     "env or all cores; 1 = serial)")
     build_workload.add_argument("--seed", type=int, default=None,
                                 help="experiment seed (default: the "
                                      "library-wide DEFAULT_SEED)")
@@ -146,8 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "cache.read:corrupt' (default: REPRO_FAULTS "
                             "env; sites: registry.compile, "
                             "batcher.evaluate, cache.read, "
-                            "parallel.worker, http.handler, "
-                            "lifecycle.log_append)")
+                            "http.handler, lifecycle.log_append)")
     serve.add_argument("--chaos-seed", type=int, default=None,
                        help="seed for fault arming and breaker jitter "
                             "(default: REPRO_FAULTS_SEED env or the "
@@ -223,23 +216,19 @@ def _cmd_instances() -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
-    from .parallel import build_corpus_workload_parallel, resolve_jobs
-
     names = [n.strip() for n in args.instances.split(",") if n.strip()]
     for name in names:
         get_instance(name)  # fail on unknown names before building
     config = WorkloadConfig(
         queries_per_structure=args.queries_per_structure,
         include_fixed_benchmarks=not args.no_fixed_benchmarks)
-    jobs = resolve_jobs(args.jobs)
-    queries = build_corpus_workload_parallel(names, config, jobs=jobs)
+    queries = build_corpus_workload(names, config)
     for name in names:
         count = sum(1 for q in queries if q.instance_name == name)
         print(f"{name}: {count} queries", file=sys.stderr)
     with open(args.output, "wb") as handle:
         pickle.dump(queries, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    print(f"wrote {len(queries)} benchmarked queries to {args.output} "
-          f"(jobs={jobs})")
+    print(f"wrote {len(queries)} benchmarked queries to {args.output}")
     return 0
 
 
@@ -248,7 +237,6 @@ def _cmd_build_workload(args: argparse.Namespace) -> int:
 
     from .experiments.context import ExperimentContext, ExperimentScale
     from .datagen.workload import workload_statistics
-    from .parallel import resolve_jobs
     from .rng import DEFAULT_SEED
 
     scale = {
@@ -257,8 +245,7 @@ def _cmd_build_workload(args: argparse.Namespace) -> int:
         "paper": ExperimentScale.paper,
     }[args.scale]()
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    jobs = resolve_jobs(args.jobs)
-    context = ExperimentContext(scale, seed=seed, jobs=jobs)
+    context = ExperimentContext(scale, seed=seed)
     if args.force:
         context.cache.invalidate(context.workload_cache_key())
     start = time.perf_counter()
@@ -267,7 +254,7 @@ def _cmd_build_workload(args: argparse.Namespace) -> int:
     stats = workload_statistics(queries)
     print(f"workload[{args.scale}]: {len(queries)} queries "
           f"({stats['mean_pipelines']:.1f} pipelines/query mean) "
-          f"in {elapsed:.1f}s with jobs={jobs}", file=sys.stderr)
+          f"in {elapsed:.1f}s", file=sys.stderr)
     print(f"cached under {context.cache.directory} "
           f"(key fingerprint {context.cache_fingerprint()})")
     return 0

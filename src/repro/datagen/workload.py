@@ -118,9 +118,8 @@ class WorkloadBuilder:
 
         Every random stream involved is derived from
         ``(seed, instance, structure, index)`` — never from call order —
-        so this produces the same query whether it runs serially, out of
-        order, or in another process (the parallel pipeline relies on
-        this).
+        so this produces the same query whether it runs in corpus order,
+        out of order, or in another process.
         """
         logical = self.generator.generate(structure, index)
         name = f"{self.instance.name}/{structure.name}/{index}"

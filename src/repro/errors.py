@@ -6,8 +6,6 @@ single base class at API boundaries.
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool as _BrokenProcessPool
-
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -115,12 +113,3 @@ class InjectedFaultError(ReproError):
     :class:`~repro.faults.FaultPlan` is installed (chaos tests,
     ``repro-t3 serve --chaos``). Components treat it like the real
     failure it simulates."""
-
-
-class WorkerDeathError(_BrokenProcessPool, ReproError):
-    """A simulated worker death at the ``parallel.worker`` fault site.
-
-    Also a :class:`~concurrent.futures.process.BrokenProcessPool`: the
-    executor's recovery ladder (fresh pool with backoff, then serial)
-    catches that class, and an injected death must travel the exact
-    path a real segfault/OOM-kill takes."""

@@ -5,11 +5,11 @@ benchmark suite runs 17 experiments that share them. Artifacts are
 pickled under ``REPRO_CACHE_DIR`` (default: ``<repo>/.cache``) and
 rebuilt transparently when missing.
 
-The cache is safe under concurrent builders (pytest-xdist, the parallel
-pipeline's workers, several CLI invocations): writes publish via a
-unique temp file and an atomic rename, corrupt entries are quarantined
-rather than served, and ``get_or_build`` takes a per-key advisory file
-lock so N processes racing a cold key perform exactly one build.
+The cache is safe under concurrent builders (pytest-xdist workers,
+several CLI invocations): writes publish via a unique temp file and an
+atomic rename, corrupt entries are quarantined rather than served, and
+``get_or_build`` takes a per-key advisory file lock so N processes
+racing a cold key perform exactly one build.
 
 Keys should be *content-derived* — hash the full configuration that
 determines an artifact with :func:`fingerprint` instead of maintaining

@@ -13,12 +13,15 @@ from typing import List, Optional, Sequence
 from ..rng import DEFAULT_SEED
 from ..trees.boosting import BoostingParams
 from ..datagen.instances import all_instance_names
-from ..datagen.workload import BenchmarkedQuery, WorkloadConfig
+from ..datagen.workload import (
+    BenchmarkedQuery,
+    WorkloadConfig,
+    build_corpus_workload,
+)
 from ..core.ablation import TargetMode
 from ..core.dataset import CardinalityKind, build_dataset
 from ..core.model import T3Config, T3Model
 from ..baselines.zeroshot import ZeroShotConfig, ZeroShotModel
-from ..parallel import build_corpus_workload_parallel
 from .cache import DiskCache, default_cache, fingerprint
 
 #: The family held out for evaluation throughout the paper.
@@ -69,15 +72,10 @@ class ExperimentContext:
 
     def __init__(self, scale: Optional[ExperimentScale] = None,
                  cache: Optional[DiskCache] = None,
-                 seed: int = DEFAULT_SEED,
-                 jobs: Optional[int] = None):
+                 seed: int = DEFAULT_SEED):
         self.scale = scale or ExperimentScale.default()
         self.cache = cache or default_cache()
         self.seed = seed
-        #: Worker processes for workload construction; ``None`` defers
-        #: to ``REPRO_JOBS`` / cpu count. Never part of cache keys —
-        #: parallel and serial builds are bit-identical.
-        self.jobs = jobs
 
     # -- keys ------------------------------------------------------------
 
@@ -110,17 +108,11 @@ class ExperimentContext:
             seed=self.seed)
 
     def workload(self) -> List[BenchmarkedQuery]:
-        """The full 21-instance benchmarked workload (cached).
-
-        Built on the process pool (``jobs``/``REPRO_JOBS``); the result
-        is bit-identical to a serial build, so the cache key ignores
-        the worker count.
-        """
+        """The full 21-instance benchmarked workload (cached)."""
         return self.cache.get_or_build(
             self.workload_cache_key(),
-            lambda: build_corpus_workload_parallel(all_instance_names(),
-                                                   self.workload_config(),
-                                                   jobs=self.jobs))
+            lambda: build_corpus_workload(all_instance_names(),
+                                          self.workload_config()))
 
     def instance_workload(self, instance_name: str) -> List[BenchmarkedQuery]:
         return [q for q in self.workload()

@@ -3,7 +3,7 @@
 T3's value proposition — compiled-tree inference cheap enough for the
 query-optimization hot path — only survives production if the serving
 stack keeps answering when parts of it misbehave. This package owns
-the machinery the serving layer and the parallel pipeline share:
+the machinery the serving layer and the lifecycle loop share:
 
 * :mod:`~repro.faults.injection` — a seedable fault-injection
   framework (:class:`FaultPlan` / :class:`FaultInjector`) with named

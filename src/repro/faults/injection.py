@@ -48,7 +48,6 @@ KNOWN_SITES: Dict[str, str] = {
                         "corrupt (non-finite) predictions",
     "cache.read": "a plan/feature cache read raises or returns a "
                   "corrupt entry",
-    "parallel.worker": "a process-pool worker dies mid-task",
     "http.handler": "the HTTP handler fails before dispatching",
     "lifecycle.log_append": "the observation-log writer dies mid-append, "
                             "leaving a torn record tail",

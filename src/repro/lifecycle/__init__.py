@@ -8,8 +8,8 @@ This package adds the machinery a deployed T3 needs to stay accurate:
   with torn-tail recovery proven under the ``lifecycle.log_append``
   fault site.
 * :mod:`~repro.lifecycle.retrain` — incremental consumption of log
-  segments through the parallel pipeline into candidate models, with
-  digest lineage back to the model they replace.
+  segments into candidate models, with digest lineage back to the
+  model they replace.
 * :mod:`~repro.lifecycle.manager` — the observe → retrain → shadow →
   canary state machine, wired into the registry's atomic pointer
   swaps and the circuit-breaker/health machinery for automatic

@@ -148,9 +148,7 @@ def read_segment_records(path: Union[str, Path]) -> List[ObservationRecord]:
     """Decode every committed record of one segment file.
 
     Read-only and torn-tolerant: a torn tail simply ends the scan (the
-    owning :class:`ObservationLog` quarantines it at open). Module-level
-    so :func:`~repro.parallel.process_map` can fan segment decoding out
-    over worker processes.
+    owning :class:`ObservationLog` quarantines it at open).
     """
     data = Path(path).read_bytes()
     _, committed = _scan_segment(data)

@@ -2,10 +2,8 @@
 
 A :class:`RetrainJob` turns logged ``(features, predicted, observed)``
 records into a candidate :class:`~repro.core.model.T3Model`. It keeps a
-per-segment cursor and pulls only *new* records each time
-(:func:`~repro.parallel.incremental.consume_segments` fans sealed
-segments out over the process pool), so a long-running server pays for
-each observation's decode exactly once no matter how many retrains the
+per-segment cursor and pulls only *new* records each time; a segment
+it has fully consumed is never read again, however many retrains the
 lifecycle goes through.
 
 Targets are rebuilt exactly the way offline training builds them
@@ -31,7 +29,6 @@ from ..core.ablation import TargetMode, transform_absolute
 from ..core.model import T3Config, T3Model
 from ..core.targets import transform_target, tuple_time_target
 from ..errors import TrainingError
-from ..parallel import consume_segments
 from ..rng import derive_seed
 from ..trees.boosting import train_boosted_trees
 from .obslog import ObservationLog, ObservationRecord, read_segment_records
@@ -48,8 +45,6 @@ class RetrainConfig:
     rounds: int = 40
     #: Records required before a candidate may be trained.
     min_records: int = 32
-    #: Process-pool width for decoding sealed segments.
-    jobs: int = 1
 
 
 def observation_matrices(records: List[ObservationRecord],
@@ -115,11 +110,20 @@ class RetrainJob:
         with self._lock:
             segments = self.log.segments()
             counts = self.log.segment_records()
-            fresh, self._cursor = consume_segments(
-                read_segment_records, segments, counts, self._cursor,
-                jobs=self.config.jobs)
-            self._records.extend(fresh)
-            return len(fresh)
+            consumed = 0
+            for path in segments:
+                done = self._cursor.get(path.name, 0)
+                have = counts.get(path.name, 0)
+                if have <= done:
+                    continue
+                # A writer may append past the count taken above; cap
+                # at it so those records are read next call, neither
+                # dropped nor counted twice.
+                fresh = read_segment_records(path)[done:have]
+                self._records.extend(fresh)
+                self._cursor[path.name] = done + len(fresh)
+                consumed += len(fresh)
+            return consumed
 
     def train_candidate(self, base: Optional[T3Model] = None) -> T3Model:
         """Train a candidate from everything consumed so far.

@@ -179,16 +179,15 @@ def test_baseline_load_missing_file_is_typed_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_run_checks_repo_is_clean():
-    # The repo baseline grandfathers exactly two findings: the remaining
-    # ROADMAP perf debt (HP003 per-task fan-out; HP001 was retired by
-    # the batch-native codegen work) and the lifecycle log's intentional
-    # mid-frame fault site (HP004 — the site must fire inside the append
-    # critical section or torn-tail recovery is untestable).
+    # The repo baseline grandfathers exactly one finding: the lifecycle
+    # log's intentional mid-frame fault site (HP004 — the site must fire
+    # inside the append critical section or torn-tail recovery is
+    # untestable).
     baseline = Path(__file__).resolve().parents[1] / "checks_baseline.toml"
     report = run_checks(baseline=baseline)
     assert report.findings == []
     assert report.exit_code == 0
-    assert sorted(f.rule for f in report.suppressed) == ["HP003", "HP004"]
+    assert sorted(f.rule for f in report.suppressed) == ["HP004"]
     assert report.stale_suppressions == []
     assert report.analyzers_run == [
         "codegen", "feature-schema", "plan-invariants", "ensemble",

@@ -36,11 +36,11 @@ def test_check_sarif_format(capsys):
     assert main(["check", "--format", "sarif"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
-    # The two baselined findings (the ROADMAP HP003 perf debt and the
-    # lifecycle log's intentional mid-frame fault site) ride along as
-    # externally suppressed results; nothing else may appear.
+    # The one baselined finding (the lifecycle log's intentional
+    # mid-frame fault site) rides along as an externally suppressed
+    # result; nothing else may appear.
     results = doc["runs"][0]["results"]
-    assert sorted(r["ruleId"] for r in results) == ["HP003", "HP004"]
+    assert [r["ruleId"] for r in results] == ["HP004"]
     assert all(r["suppressions"][0]["kind"] == "external" for r in results)
     assert doc["runs"][0]["tool"]["driver"]["name"] == "repro-t3-check"
 
@@ -92,10 +92,8 @@ def test_check_warns_on_stale_suppression(tmp_path, capsys):
     baseline.write_text(
         '[[suppress]]\nrule = "DT003"\n'
         'path = "src/repro/nonexistent.py"\nline = 1\n'
-        # the grandfathered findings must stay covered for the full
+        # the grandfathered finding must stay covered for the full
         # run to exit 0
-        '[[suppress]]\nrule = "HP003"\n'
-        'path = "src/repro/parallel/executor.py"\n'
         '[[suppress]]\nrule = "HP004"\n'
         'path = "src/repro/lifecycle/obslog.py"\n')
     assert main(["check", "--baseline", str(baseline)]) == 0

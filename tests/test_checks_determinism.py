@@ -213,19 +213,19 @@ def test_dt005_hash_reaches_sink(tmp_path):
 
 def test_dt006_set_order_reaches_sink(tmp_path):
     assert "DT006" in _rules(tmp_path, {"mod.py": """
-        def schedule(names):
+        def schedule(derive_seed, names):
             pending = set(names)
             order = list(pending)
-            iter_workload_chunks(order)
+            derive_seed(*order)
     """})
 
 
 def test_dt006_sorted_set_is_clean(tmp_path):
     assert _rules(tmp_path, {"mod.py": """
-        def schedule(names):
+        def schedule(derive_seed, names):
             pending = set(names)
             order = sorted(pending)
-            iter_workload_chunks(order)
+            derive_seed(*order)
     """}) == set()
 
 

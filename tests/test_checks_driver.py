@@ -202,12 +202,10 @@ def test_stale_detection_suppressed_on_filtered_runs():
 # hotpath driver hygiene (--rule HP, stale pruning)
 # ---------------------------------------------------------------------------
 
-#: The grandfathered findings a baseline-less hotpath run reports: the
-#: lifecycle log's intentional mid-frame fault site, then the one
-#: remaining ROADMAP perf debt (HP001 was retired when predict_one
-#: moved onto the batch FFI path).
-_HP_DEBTS = [("HP004", "src/repro/lifecycle/obslog.py"),
-             ("HP003", "src/repro/parallel/executor.py")]
+#: The grandfathered finding a baseline-less hotpath run reports: the
+#: lifecycle log's intentional mid-frame fault site (HP001 was retired
+#: when predict_one moved onto the batch FFI path).
+_HP_DEBTS = [("HP004", "src/repro/lifecycle/obslog.py")]
 
 
 def _real_hotpath(monkeypatch):

@@ -1,12 +1,11 @@
 """Hot-path cost analyzer (HP rules): planted defects and clean twins.
 
-Two seeded-mutation tests guard the roadmap's perf debts the way the
-RS006 oracle guards the PR 5 probe leak: one reintroduces the PR 4
+A seeded-mutation test guards the roadmap's perf debts the way the
+RS006 oracle guards the breaker probe leak: it reintroduces the old
 ``_build_histogram`` O(rows x features) temporaries shape into a copy
-of the *real* ``trees/grow.py`` and asserts HP002 flags it; the other
-plants a per-row ``process_map`` submission variant and asserts HP003.
-The repo-level test pins ``check_hotpath()`` to exactly the two
-grandfathered findings ``checks_baseline.toml`` suppresses.
+of the *real* ``trees/grow.py`` and asserts HP002 flags it. The
+repo-level test pins ``check_hotpath()`` to exactly the one
+grandfathered finding ``checks_baseline.toml`` suppresses.
 """
 
 from __future__ import annotations
@@ -194,62 +193,6 @@ def test_real_histogram_source_is_hp002_clean(tmp_path):
                                      hot_roots=["_build_histogram"],
                                      per_element_roots=[])
             if f.rule == "HP002"] == []
-
-
-# ---------------------------------------------------------------------------
-# HP003 — per-item submission across the process boundary
-# ---------------------------------------------------------------------------
-
-
-def test_hp003_per_item_submit(tmp_path):
-    findings = [f for f in _findings(tmp_path, {"mod.py": """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def hot(fn, tasks):
-            with ProcessPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(fn, task) for task in tasks]
-            return [future.result() for future in futures]
-    """}) if f.rule == "HP003"]
-    assert len(findings) == 1
-    assert "pickle + IPC" in findings[0].message
-
-
-def test_hp003_apply_async_on_multiprocessing_pool(tmp_path):
-    assert "HP003" in _rules(tmp_path, {"mod.py": """
-        from multiprocessing import Pool
-
-        def hot(fn, tasks):
-            pool = Pool(4)
-            handles = [pool.apply_async(fn, (task,)) for task in tasks]
-            return [handle.get() for handle in handles]
-    """})
-
-
-def test_hp003_pool_map_is_clean(tmp_path):
-    assert "HP003" not in _rules(tmp_path, {"mod.py": """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def hot(fn, tasks):
-            with ProcessPoolExecutor(max_workers=4) as pool:
-                return list(pool.map(fn, tasks, chunksize=64))
-    """})
-
-
-def test_hp003_seeded_per_row_process_map_variant(tmp_path):
-    # The ROADMAP item 5 shape as a fixture: a process_map that submits
-    # one future per task, paying pickle + IPC per row.
-    findings = [f for f in _findings(tmp_path, {"parallel.py": """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def process_map(fn, tasks, jobs):
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {pool.submit(fn, task): index
-                           for index, task in enumerate(tasks)}
-                ordered = sorted(futures, key=futures.get)
-                return [future.result() for future in ordered]
-    """}, hot_roots=["process_map"]) if f.rule == "HP003"]
-    assert len(findings) == 1
-    assert "process boundary" in findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +458,9 @@ def test_repo_findings_are_exactly_the_roadmap_debts():
     # HP001 (per-prediction FFI in CompiledTreeModel.predict_one) was
     # retired by the batch-native codegen work: predict_one now routes
     # through a 1-row batch buffer. What remains is the lifecycle log's
-    # intentional mid-frame fault site (HP004, baselined with a reason)
-    # and the HP003 fan-out debt (ROADMAP item 5).
+    # intentional mid-frame fault site (HP004, baselined with a reason).
     findings = check_hotpath()
     assert [(f.rule, f.path) for f in findings] == [
         ("HP004", "src/repro/lifecycle/obslog.py"),
-        ("HP003", "src/repro/parallel/executor.py"),
     ]
     assert all("hot via" in f.message for f in findings)

@@ -1,10 +1,13 @@
 """Tests for the repro-t3 command-line interface."""
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.datagen.workload import WorkloadConfig, build_corpus_workload
 
 
 class TestInstances:
@@ -13,6 +16,29 @@ class TestInstances:
         out = capsys.readouterr().out
         assert "tpch_sf1" in out and "imdb" in out
         assert len(out.strip().splitlines()) == 22  # header + 21
+
+
+class TestWorkloadCommand:
+    ARGS = ["workload", "--instances", "financial",
+            "--queries-per-structure", "1", "--no-fixed-benchmarks"]
+
+    def test_writes_the_serial_corpus(self, tmp_path):
+        path = tmp_path / "workload.pkl"
+        assert main(self.ARGS + ["-o", str(path)]) == 0
+        with open(path, "rb") as handle:
+            written = pickle.load(handle)
+        expected = build_corpus_workload(
+            ["financial"], WorkloadConfig(queries_per_structure=1,
+                                          include_fixed_benchmarks=False))
+        assert [q.name for q in written] == [q.name for q in expected]
+        assert [q.median_time for q in written] == \
+            [q.median_time for q in expected]
+        for a, b in zip(written, expected):
+            assert np.array_equal(a.pipeline_targets(), b.pipeline_targets())
+
+    def test_jobs_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(self.ARGS + ["--jobs", "2", "-o", str(tmp_path / "w.pkl")])
 
 
 class TestWorkloadTrainEvaluatePredict:
@@ -34,7 +60,6 @@ class TestWorkloadTrainEvaluatePredict:
         return path
 
     def test_workload_file_loads(self, workload_path):
-        import pickle
         with open(workload_path, "rb") as handle:
             queries = pickle.load(handle)
         assert len(queries) == 2 * 16 * 2  # structures x per x instances

@@ -221,8 +221,8 @@ class TestMemoLifetime:
     operator's id could be recycled by a later allocation and the memo
     would serve the dead operator's cardinality for the new one — stale
     hits whose occurrence depends on allocation history, which made
-    plans differ between processes (caught by the parallel pipeline's
-    bit-identity check)."""
+    plans differ between processes (caught by a bit-identity check of
+    a process-pool corpus build against a serial one)."""
 
     def test_memo_pins_operators(self, exact, optimizer):
         import gc

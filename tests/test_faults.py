@@ -7,7 +7,6 @@ subject under test is precisely "nothing ever blocks forever".
 
 import faulthandler
 import json
-import os
 import time
 import urllib.error
 import urllib.request
@@ -24,7 +23,7 @@ from repro.errors import (
     ServiceClosedError,
 )
 from repro.core.model import PredictionBackend, T3Config, T3Model
-from repro.datagen.workload import WorkloadConfig, build_corpus_workload
+from repro.datagen.workload import WorkloadConfig
 from repro.faults import (
     BreakerState,
     CircuitBreaker,
@@ -37,7 +36,6 @@ from repro.faults import (
     clear_faults,
     install_plan,
 )
-from repro.parallel import build_corpus_workload_parallel, process_map
 from repro.serving import (
     AnalyticBaseline,
     MicroBatcher,
@@ -226,7 +224,7 @@ class TestFaultInjector:
     def test_known_sites_documented(self):
         assert set(KNOWN_SITES) == {
             "registry.compile", "batcher.evaluate", "cache.read",
-            "parallel.worker", "http.handler", "lifecycle.log_append"}
+            "http.handler", "lifecycle.log_append"}
 
 
 # ---------------------------------------------------------------------------
@@ -845,70 +843,3 @@ class TestHTTPErrorMapping:
             payload = json.loads(response.read())
         assert payload["faults"]["active"] is True
         assert payload["faults"]["plan"] == ["http.handler:delay@1 x0"]
-
-
-# ---------------------------------------------------------------------------
-# Crash-safe process_map (satellite + tentpole #5)
-# ---------------------------------------------------------------------------
-
-
-def _square(x):
-    return x * x
-
-
-def _die_once_then_square(task):
-    index, marker_dir = task
-    if index == 3:
-        marker = os.path.join(marker_dir, "died-once")
-        if not os.path.exists(marker):
-            with open(marker, "w") as fh:
-                fh.write("x")
-            os._exit(1)   # hard worker death: no exception, no cleanup
-    return index * index
-
-
-class TestCrashSafeProcessMap:
-    def test_recovers_from_real_worker_death(self, tmp_path):
-        tasks = [(i, str(tmp_path)) for i in range(8)]
-        results = process_map(_die_once_then_square, tasks, jobs=2)
-        assert results == [i * i for i in range(8)]
-        assert (tmp_path / "died-once").exists()
-
-    def test_injected_worker_fault_retries_to_identical_results(self):
-        injector = FaultInjector(
-            FaultPlan.parse("parallel.worker:raise:1:2"))
-        results = process_map(_square, list(range(10)), jobs=4,
-                              backoff_base_s=0.01, injector=injector)
-        assert results == [i * i for i in range(10)]
-        assert injector.fire_counts()["parallel.worker"] == 2
-
-    def test_serial_fallback_after_repeated_pool_failure(self):
-        injector = FaultInjector(FaultPlan.parse("parallel.worker:raise"))
-        results = process_map(_square, list(range(6)), jobs=2,
-                              max_pool_failures=2, backoff_base_s=0.01,
-                              injector=injector)
-        assert results == [i * i for i in range(6)]
-
-    def test_task_exceptions_still_propagate(self):
-        with pytest.raises(Exception):
-            process_map(_raise_value_error, [1, 2, 3], jobs=2)
-
-    def test_workload_bit_identical_under_worker_faults(self):
-        config = WorkloadConfig(queries_per_structure=1,
-                                include_fixed_benchmarks=False)
-        serial = build_corpus_workload(["financial"], config)
-        install_plan(FaultPlan.parse("parallel.worker:raise:1:2"))
-        try:
-            parallel = build_corpus_workload_parallel(
-                ["financial"], config, jobs=4, chunk_size=1)
-        finally:
-            clear_faults()
-        assert [q.name for q in serial] == [q.name for q in parallel]
-        assert [q.median_time for q in serial] == \
-            [q.median_time for q in parallel]
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.pipeline_targets(), b.pipeline_targets())
-
-
-def _raise_value_error(x):
-    raise ValueError(f"task {x} is unhappy")

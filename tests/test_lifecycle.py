@@ -407,13 +407,31 @@ class TestRetrain:
                              RetrainConfig(rounds=5, min_records=1))
             for _ in range(4):
                 log.append(make_record())
-            log.rotate()                        # seal → process-map path
+            log.rotate()                        # seal the first segment
             assert job.consume() == 4
             assert job.consume() == 0           # cursor advanced
             for _ in range(3):
                 log.append(make_record())
-            assert job.consume() == 3           # partial-tail path
+            assert job.consume() == 3           # new tail segment
             assert job.records_consumed == 7
+
+    def test_consume_caps_at_the_counted_records(self, tmp_path, toy_model,
+                                                 monkeypatch):
+        # A writer may append after consume() took the segment counts;
+        # those records wait for the next call, read exactly once.
+        with ObservationLog(tmp_path) as log:
+            job = RetrainJob(log, toy_model,
+                             RetrainConfig(rounds=5, min_records=1))
+            for i in range(5):
+                log.append(make_record(observed=float(i + 1)))
+            stale = {name: 2 for name in log.segment_records()}
+            monkeypatch.setattr(log, "segment_records", lambda: stale)
+            assert job.consume() == 2
+            monkeypatch.undo()
+            assert job.consume() == 3
+            assert job.consume() == 0
+            observed = [r.observed_seconds for r in job._records]
+        assert observed == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_candidate_lineage_and_determinism(self, tmp_path, toy_model):
         with ObservationLog(tmp_path) as log:
