@@ -1,6 +1,6 @@
 """Static-analysis subsystem: prove T3's invariants without running them.
 
-Nine analyzers behind one driver (``repro-t3 check``):
+Eight analyzers behind one driver (``repro-t3 check``):
 
 * :mod:`~repro.checks.codegen_verify` — parse generated C back into a
   tree structure and verify structural equivalence with the trained
@@ -27,20 +27,18 @@ Nine analyzers behind one driver (``repro-t3 check``):
   total, load-control errors are never swallowed (``EX...``),
 * :mod:`~repro.checks.resources` — must-release analysis over
   exception edges for locks, futures, pools, handles, and breaker
-  probe slots (``RS...``),
-* :mod:`~repro.checks.hotpath` — interprocedural cost summaries
-  propagated from the serving and inference hot roots: per-element FFI
-  round-trips, accumulating allocation, per-item process fan-out,
-  blocking under locks, and hoistable loop-invariant work on the
-  predict/featurize paths (``HP...``).
+  probe slots (``RS...``).
+
+Where time goes is not a static question here: ``perfbench`` measures
+it per layer, so there is no cost analyzer.
 
 Shared infrastructure lives in :mod:`~repro.checks.astutils` (AST
 loading and navigation helpers), :mod:`~repro.checks.cfg`
 (per-function control-flow graphs plus a generic forward-dataflow
 solver), :mod:`~repro.checks.callgraph` (project-wide call graph with
 layered call-target resolution), and :mod:`~repro.checks.interproc`
-(bottom-up per-function taint, may-raise, and cost summaries over the
-call graph). Findings carry ``file:line``, a stable rule id, and a
+(bottom-up per-function taint and may-raise summaries over the call
+graph). Findings carry ``file:line``, a stable rule id, and a
 severity; a TOML baseline (``checks_baseline.toml``) grandfathers known
 findings so the driver can gate CI on *new* ones only, and
 ``--format sarif`` renders the same findings for code-scanning upload.
@@ -67,12 +65,7 @@ from .findings import (
     update_baseline,
     write_baseline,
 )
-from .hotpath import check_hotpath
-from .interproc import (
-    compute_cost_summaries,
-    compute_raises_summaries,
-    compute_taint_summaries,
-)
+from .interproc import compute_raises_summaries, compute_taint_summaries
 from .plan_invariants import check_plan_invariants
 from .resources import check_resource_lifecycles
 from .sarif import render_sarif
@@ -95,11 +88,9 @@ __all__ = [
     "check_determinism",
     "check_exception_contracts",
     "check_feature_schema",
-    "check_hotpath",
     "check_lock_discipline",
     "check_plan_invariants",
     "check_resource_lifecycles",
-    "compute_cost_summaries",
     "compute_raises_summaries",
     "compute_taint_summaries",
     "forward_dataflow",

@@ -124,15 +124,6 @@ class CallGraph:
     def function(self, qname: str) -> Optional[FunctionInfo]:
         return self.functions.get(qname)
 
-    def methods_of(self, class_qname: str) -> Dict[str, str]:
-        """method simple name -> qname for one class (no inheritance)."""
-        out: Dict[str, str] = {}
-        module, _, cls = class_qname.partition(":")
-        for qname, info in self.functions.items():
-            if info.module == module and info.cls == cls:
-                out[info.name] = qname
-        return out
-
     def callers_of(self) -> Dict[str, List[str]]:
         """callee qname -> caller qnames (reverse call edges)."""
         out: Dict[str, List[str]] = {}

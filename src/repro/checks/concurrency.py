@@ -21,7 +21,8 @@ LK001  attribute guarded elsewhere but accessed with no lock held
 LK002  shared mutable attribute never accessed under a lock
 LK003  lock-order inversion (lock A held acquiring B, and B held
        acquiring A, anywhere in the same class)
-LK004  blocking call (``time.sleep``, ``subprocess.*``, ``.result()``,
+LK004  blocking call (``time.sleep``, ``subprocess.*``, ``os.system``,
+       ``open()``, ``Path.read_*``/``write_*``, ``.result()``,
        thread/process ``.join()``) while a lock is held
 LK005  ``await`` while holding a lock
 LK007  ``release()`` of a lock not held on any path
@@ -82,11 +83,17 @@ _LK007_EXEMPT = {"__exit__", "release", "release_lock", "unlock"}
 #: Module-level callables that block the calling thread.
 _BLOCKING_CALLS = {
     "time.sleep",
-    "subprocess.run", "subprocess.call",
+    "subprocess.run", "subprocess.call", "subprocess.Popen",
     "subprocess.check_call", "subprocess.check_output",
+    "os.system",
+    "open",
     "socket.create_connection",
     "urllib.request.urlopen",
 }
+
+#: Methods that read or write a whole file, whatever the receiver
+#: (the ``pathlib.Path`` shape).
+_FILE_IO_METHODS = {"read_text", "write_text", "read_bytes", "write_bytes"}
 
 #: ``Condition`` methods that are coordination, not lock-state changes.
 _CONDITION_METHODS = {"wait", "wait_for", "notify", "notify_all"}
@@ -222,7 +229,9 @@ def _blocking_calls(event: ast.AST,
         if self_attr(func.value) in locks:
             continue  # lock-op or Condition coordination, handled elsewhere
         receiver = _receiver_name(func.value)
-        if func.attr == "result":
+        if func.attr in _FILE_IO_METHODS:
+            out.append((node.lineno, f"{receiver or '<expr>'}.{func.attr}()"))
+        elif func.attr == "result":
             out.append((node.lineno,
                         f"{receiver or '<expr>'}.result()"))
         elif func.attr == "join" and _matches(receiver, _THREAD_HINTS):

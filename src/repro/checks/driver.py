@@ -32,7 +32,6 @@ from .findings import (
     render_json,
     render_text,
 )
-from .hotpath import check_hotpath
 from .plan_invariants import check_plan_invariants
 from .resources import check_resource_lifecycles
 from .sarif import render_sarif
@@ -98,14 +97,6 @@ RULES: Dict[str, str] = {
     "FS004": "persisted model n_features mismatch",
     "FS005": "declared (operator, stage) pair the engine never produces",
     "FS006": "duplicate feature within one stage declaration",
-    "HP000": "hot-path cost analyzer could not run",
-    "HP001": "per-element ctypes/FFI round-trip on a hot path",
-    "HP002": "accumulating whole-array allocation inside a hot loop",
-    "HP004": "blocking IO/subprocess/sleep while holding a lock on a hot path",
-    "HP005": "loop-invariant pure call re-evaluated inside a hot loop",
-    "HP006": "loop-invariant label/f-string formatting inside a hot loop",
-    "HP008": "O(n) list membership test inside a hot loop",
-    "HP009": "loop-invariant attribute chain re-resolved inside a hot loop",
     "LK000": "concurrency checker could not run",
     "LK001": "attribute guarded elsewhere but accessed with no lock held",
     "LK002": "shared mutable attribute never accessed under a lock",
@@ -263,7 +254,6 @@ ANALYZERS: Dict[str, Tuple[str, Callable[[CheckOptions], List[Finding]]]] = {
     "determinism": ("DT", lambda opts: check_determinism()),
     "exceptions": ("EX", lambda opts: check_exception_contracts()),
     "resources": ("RS", lambda opts: check_resource_lifecycles()),
-    "hotpath": ("HP", lambda opts: check_hotpath()),
 }
 
 def _selected_analyzers(rules: Optional[Sequence[str]]) -> List[str]:

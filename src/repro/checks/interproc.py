@@ -19,15 +19,7 @@ over :class:`~repro.checks.callgraph.CallGraph`:
   Unresolved calls contribute nothing — the summary answers "which
   raises *written in this corpus* escape", not "can CPython raise".
 
-* **Cost summaries** (:func:`compute_cost_summaries`) for the HP
-  hot-path analyzer: which expensive *effects* (ctypes FFI round-trips,
-  subprocess spawns, blocking IO, sleeps) a function may perform — directly or through any corpus
-  callee — plus its maximum loop-nest depth and whether it allocates
-  fresh array copies per loop iteration. ``self.<attr>(...)`` calls
-  count as FFI when the class binds ``<attr>`` from a
-  ``ctypes.CDLL(...)`` handle (the ``CompiledTreeModel`` shape).
-
-All engines cap their fixpoint iteration count; the call graphs here
+Both engines cap their fixpoint iteration count; the call graphs here
 are small (a few hundred functions) and monotone, so the caps exist
 only to turn a future non-monotonicity bug into a loud
 :class:`~repro.errors.CheckError` instead of a hang.
@@ -44,25 +36,17 @@ from .astutils import dotted_name, self_attr
 from .callgraph import CallGraph, FunctionInfo
 
 __all__ = [
-    "COST_EFFECTS",
     "SINK_NAMES",
     "SOURCE_KINDS",
-    "CostSummary",
-    "EffectOrigin",
     "RaisesSummary",
     "TaintKind",
     "TaintSummary",
     "ExceptionHierarchy",
-    "classify_cost_effect",
     "classify_source",
-    "collect_ffi_attrs",
-    "compute_cost_summaries",
     "compute_raises_summaries",
     "compute_taint_summaries",
     "escapes_of_statements",
     "handler_type_names",
-    "is_copy_allocator",
-    "map_loop_depths",
     "sink_name_of_call",
 ]
 
@@ -761,277 +745,6 @@ def compute_raises_summaries(graph: CallGraph,
         new = _RaisesPass(
             graph, graph.functions[qname], summaries, hierarchy).run()
         if frozenset(new.escapes) != frozenset(summaries[qname].escapes):
-            for caller in callers.get(qname, ()):
-                if caller not in queued:
-                    queued.add(caller)
-                    queue.append(caller)
-        summaries[qname] = new
-    return summaries
-
-
-# -- cost ----------------------------------------------------------------
-
-#: effect tag -> human-readable description (used in HP messages).
-COST_EFFECTS: Dict[str, str] = {
-    "ffi": "ctypes FFI round-trip",
-    "subprocess": "subprocess spawn",
-    "io": "blocking file/socket IO",
-    "sleep": "thread sleep",
-}
-
-#: dotted callee name -> effect tag, for exact-name classification.
-_COST_CALL_TAGS: Dict[str, str] = {
-    "subprocess.run": "subprocess", "subprocess.call": "subprocess",
-    "subprocess.check_call": "subprocess",
-    "subprocess.check_output": "subprocess",
-    "subprocess.Popen": "subprocess", "os.system": "subprocess",
-    "time.sleep": "sleep",
-    "socket.create_connection": "io",
-    "urllib.request.urlopen": "io",
-    "open": "io",
-}
-
-#: method names that read/write files regardless of receiver type.
-_IO_METHODS = frozenset({
-    "read_text", "write_text", "read_bytes", "write_bytes",
-})
-
-#: numpy allocators that copy the whole accumulator per call.
-_COPY_ALLOCATORS = frozenset({
-    "append", "concatenate", "vstack", "hstack",
-})
-_NUMPY_ALIASES = frozenset({"np", "numpy"})
-
-
-def classify_cost_effect(call: ast.Call,
-                         ffi_attrs: FrozenSet[str] = frozenset()
-                         ) -> Optional[str]:
-    """Effect tag this call performs directly, if any.
-
-    ``ffi_attrs`` names ``self.<attr>`` members of the enclosing class
-    that are bound from a ``ctypes.CDLL`` handle — calling one *is* the
-    FFI round-trip even though no ``ctypes`` name appears at the site.
-    """
-    name = dotted_name(call.func)
-    if name is not None:
-        tag = _COST_CALL_TAGS.get(name)
-        if tag is not None:
-            return tag
-        parts = name.split(".")
-        if "ctypes" in parts:
-            return "ffi"
-        if parts[-1] in _IO_METHODS:
-            return "io"
-    attr = self_attr(call.func)
-    if attr is not None and attr in ffi_attrs:
-        return "ffi"
-    return None
-
-
-def collect_ffi_attrs(graph: CallGraph) -> Dict[str, FrozenSet[str]]:
-    """class qname -> ``self.<attr>`` members that are FFI callables.
-
-    Detects the ``CompiledTreeModel`` binding shape::
-
-        self._lib = ctypes.CDLL(path)
-        self._predict = getattr(self._lib, name)
-
-    so ``self._predict(ptr)`` classifies as an FFI call.
-    """
-    out: Dict[str, FrozenSet[str]] = {}
-    for info in graph.functions.values():
-        if info.cls is None:
-            continue
-        lib_attrs: Set[str] = set()
-        candidates: List[Tuple[str, str]] = []   # (attr, lib attr)
-        for node in info.own_statements():
-            if not (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1):
-                continue
-            target = self_attr(node.targets[0])
-            if target is None or not isinstance(node.value, ast.Call):
-                continue
-            callee = dotted_name(node.value.func)
-            if callee is not None and "ctypes" in callee.split(".") \
-                    and callee.split(".")[-1] in ("CDLL", "PyDLL",
-                                                  "WinDLL"):
-                lib_attrs.add(target)
-            elif callee == "getattr" and node.value.args:
-                source = self_attr(node.value.args[0])
-                if source is not None:
-                    candidates.append((target, source))
-        bound = {attr for attr, lib in candidates if lib in lib_attrs}
-        if bound:
-            key = f"{info.module}:{info.cls}"
-            out[key] = out.get(key, frozenset()) | frozenset(bound)
-    return out
-
-
-def map_loop_depths(func: ast.AST) -> Dict[int, int]:
-    """``id(node)`` -> loop-nest depth, for every node of one function.
-
-    Depth counts ``for``/``while`` loops and comprehension generators.
-    Evaluation position matters: a ``for`` iterable runs once (at the
-    loop's own depth) while a ``while`` test runs per iteration (at
-    body depth). Nested function/class bodies are their own scope and
-    are not visited.
-    """
-    depths: Dict[int, int] = {}
-
-    def mark(node: ast.AST, depth: int) -> None:
-        depths[id(node)] = depth
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef, ast.Lambda)):
-            return
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            mark(node.iter, depth)
-            mark(node.target, depth + 1)
-            for stmt in node.body:
-                mark(stmt, depth + 1)
-            for stmt in node.orelse:
-                mark(stmt, depth)
-            return
-        if isinstance(node, ast.While):
-            mark(node.test, depth + 1)
-            for stmt in node.body:
-                mark(stmt, depth + 1)
-            for stmt in node.orelse:
-                mark(stmt, depth)
-            return
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                             ast.GeneratorExp)):
-            inner = depth + len(node.generators)
-            for index, gen in enumerate(node.generators):
-                mark(gen.iter, depth if index == 0 else inner)
-                mark(gen.target, inner)
-                for cond in gen.ifs:
-                    mark(cond, inner)
-            if isinstance(node, ast.DictComp):
-                mark(node.key, inner)
-                mark(node.value, inner)
-            else:
-                mark(node.elt, inner)
-            return
-        for child in ast.iter_child_nodes(node):
-            mark(child, depth)
-
-    for child in ast.iter_child_nodes(func):
-        mark(child, 0)
-    return depths
-
-
-@dataclass(frozen=True)
-class EffectOrigin:
-    """Where an effect enters a function: a direct site or a call."""
-
-    line: int
-    #: callee qname when the effect is inherited through a call.
-    via: Optional[str] = None
-
-
-@dataclass
-class CostSummary:
-    """Expensive effects one function may perform, with witnesses."""
-
-    effects: Dict[str, EffectOrigin] = field(default_factory=dict)
-    max_loop_depth: int = 0
-    #: a whole-array copy allocator runs inside one of its loops.
-    allocates_in_loop: bool = False
-
-    def fingerprint(self) -> Tuple[object, ...]:
-        return (frozenset(self.effects), self.max_loop_depth,
-                self.allocates_in_loop)
-
-
-#: Loop-depth ceiling for summaries. Recursion inside a loop would
-#: otherwise grow the transitive depth by one per fixpoint pass and
-#: never converge; no HP rule distinguishes depths beyond this.
-_MAX_SUMMARY_LOOP_DEPTH = 4
-
-
-def is_copy_allocator(call: ast.Call) -> bool:
-    """``np.append``/``np.concatenate``/...: a whole-array copy per call."""
-    name = dotted_name(call.func)
-    if name is None:
-        return False
-    parts = name.split(".")
-    return (len(parts) == 2 and parts[0] in _NUMPY_ALIASES
-            and parts[1] in _COPY_ALLOCATORS)
-
-
-class _CostPass:
-    """One bottom-up cost pass over one function."""
-
-    def __init__(self, graph: CallGraph, info: FunctionInfo,
-                 summaries: Dict[str, CostSummary],
-                 ffi_attrs: Dict[str, FrozenSet[str]]):
-        self.graph = graph
-        self.info = info
-        self.summaries = summaries
-        cls_key = (f"{info.module}:{info.cls}"
-                   if info.cls is not None else "")
-        self.class_ffi = ffi_attrs.get(cls_key, frozenset())
-        self._callees: Dict[int, Tuple[str, ...]] = {
-            id(site.node): site.callees for site in info.calls}
-
-    def run(self) -> CostSummary:
-        summary = CostSummary()
-        depths = map_loop_depths(self.info.node)
-        for node in self.info.own_statements():
-            depth = depths.get(id(node), 0)
-            summary.max_loop_depth = max(summary.max_loop_depth, depth)
-            if not isinstance(node, ast.Call):
-                continue
-            tag = classify_cost_effect(node, self.class_ffi)
-            if tag is not None:
-                summary.effects.setdefault(
-                    tag, EffectOrigin(line=node.lineno))
-            if depth >= 1 and is_copy_allocator(node):
-                summary.allocates_in_loop = True
-            for qname in self._callees.get(id(node), ()):
-                callee = self.summaries.get(qname)
-                if callee is None:
-                    continue
-                for callee_tag in callee.effects:
-                    summary.effects.setdefault(
-                        callee_tag,
-                        EffectOrigin(line=node.lineno, via=qname))
-                summary.max_loop_depth = max(
-                    summary.max_loop_depth,
-                    depth + callee.max_loop_depth)
-                summary.allocates_in_loop = (
-                    summary.allocates_in_loop or callee.allocates_in_loop)
-        summary.max_loop_depth = min(summary.max_loop_depth,
-                                     _MAX_SUMMARY_LOOP_DEPTH)
-        return summary
-
-
-def compute_cost_summaries(graph: CallGraph) -> Dict[str, CostSummary]:
-    """Bottom-up cost-effect fixpoint over every function of the graph.
-
-    Same worklist discipline as the taint and raises engines: a caller
-    is revisited only when a callee's summary fingerprint changed, and
-    the iteration cap turns non-monotonicity into a loud error.
-    """
-    summaries: Dict[str, CostSummary] = {
-        qname: CostSummary() for qname in graph.functions}
-    ffi_attrs = collect_ffi_attrs(graph)
-    callers = graph.callers_of()
-    queue = list(graph.functions)
-    queued = set(queue)
-    iterations = 0
-    cap = 60 * max(1, len(graph.functions))
-    while queue:
-        iterations += 1
-        if iterations > cap:
-            raise CheckError(
-                "interprocedural cost summaries did not converge "
-                f"({iterations} function passes)")
-        qname = queue.pop(0)
-        queued.discard(qname)
-        new = _CostPass(graph, graph.functions[qname], summaries,
-                        ffi_attrs).run()
-        if new.fingerprint() != summaries[qname].fingerprint():
             for caller in callers.get(qname, ()):
                 if caller not in queued:
                     queued.add(caller)

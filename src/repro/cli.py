@@ -15,7 +15,7 @@ Subcommands cover the library's end-to-end workflow:
 * ``check``     — run the static-analysis suite (codegen verifier,
   feature-schema drift, plan invariants, ensemble analysis,
   concurrency checking, determinism taint, exception contracts,
-  resource lifecycles, hot-path cost analysis).
+  resource lifecycles).
 
 Example session::
 
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="log every HTTP request to stderr")
 
     check = subcommands.add_parser(
-        "check", help="run the static-analysis suite over the repo")
+        "check", help="run the eight static analyzers over the repo")
     check.add_argument("--rule", action="append", dest="rules", default=[],
                        metavar="RULE",
                        help="run only this rule id (LK001) or analyzer "

@@ -179,22 +179,17 @@ def test_baseline_load_missing_file_is_typed_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_run_checks_repo_is_clean():
-    # The repo baseline grandfathers exactly one finding: the lifecycle
-    # log's intentional mid-frame fault site (HP004 — the site must fire
-    # inside the append critical section or torn-tail recovery is
-    # untestable).
     baseline = Path(__file__).resolve().parents[1] / "checks_baseline.toml"
     report = run_checks(baseline=baseline)
     assert report.findings == []
     assert report.exit_code == 0
-    assert sorted(f.rule for f in report.suppressed) == ["HP004"]
+    assert report.suppressed == []
     assert report.stale_suppressions == []
     assert report.analyzers_run == [
         "codegen", "feature-schema", "plan-invariants", "ensemble",
-        "concurrency", "determinism", "exceptions", "resources",
-        "hotpath"]
+        "concurrency", "determinism", "exceptions", "resources"]
     # CI's perf gate allows 10s for the whole suite including the
-    # interprocedural pass; leave headroom for slow runners here.
+    # interprocedural passes; leave headroom for slow runners here.
     assert report.elapsed_seconds < 10.0
     assert set(report.timings) == set(report.analyzers_run)
     assert all(seconds >= 0.0 for seconds in report.timings.values())

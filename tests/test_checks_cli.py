@@ -10,7 +10,7 @@ from repro.cli import main
 
 _ALL_ANALYZERS = {"codegen", "feature-schema", "plan-invariants",
                   "ensemble", "concurrency", "determinism", "exceptions",
-                  "resources", "hotpath"}
+                  "resources"}
 
 
 def _stale_model(tmp_path):
@@ -36,12 +36,9 @@ def test_check_sarif_format(capsys):
     assert main(["check", "--format", "sarif"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
-    # The one baselined finding (the lifecycle log's intentional
-    # mid-frame fault site) rides along as an externally suppressed
-    # result; nothing else may appear.
-    results = doc["runs"][0]["results"]
-    assert [r["ruleId"] for r in results] == ["HP004"]
-    assert all(r["suppressions"][0]["kind"] == "external" for r in results)
+    # The repo baseline is empty, so a clean tree renders no results;
+    # suppressed results are covered by test_checks_sarif.
+    assert doc["runs"][0]["results"] == []
     assert doc["runs"][0]["tool"]["driver"]["name"] == "repro-t3-check"
 
 
@@ -61,9 +58,10 @@ def test_check_list_rules(capsys):
     out = capsys.readouterr().out
     for rule in ("CG001", "FS001", "LK001", "LK011", "PI001", "PI012",
                  "EA001", "EA010", "DT001", "DT010", "EX001", "EX007",
-                 "RS001", "RS008", "HP001", "HP009"):
+                 "RS001", "RS008"):
         assert rule in out
-    for retired in ("PL001", "RT001", "LK006", "EX003", "HP007", "HP010"):
+    for retired in ("PL001", "RT001", "LK006", "EX003", "HP001", "HP007",
+                    "HP009", "HP010"):
         assert retired not in out
 
 
@@ -91,11 +89,7 @@ def test_check_warns_on_stale_suppression(tmp_path, capsys):
     baseline = tmp_path / "baseline.toml"
     baseline.write_text(
         '[[suppress]]\nrule = "DT003"\n'
-        'path = "src/repro/nonexistent.py"\nline = 1\n'
-        # the grandfathered finding must stay covered for the full
-        # run to exit 0
-        '[[suppress]]\nrule = "HP004"\n'
-        'path = "src/repro/lifecycle/obslog.py"\n')
+        'path = "src/repro/nonexistent.py"\nline = 1\n')
     assert main(["check", "--baseline", str(baseline)]) == 0
     out = capsys.readouterr().out
     assert "stale baseline suppression DT003" in out

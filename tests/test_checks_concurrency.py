@@ -4,12 +4,16 @@ Each LK rule gets at least one planted-defect fixture that fires it and
 one clean fixture that exercises the same shape without the defect —
 the clean side is what separates a dataflow analysis from a grep.
 LK009–LK011 (unbounded queue/future/thread waits) are lexical and run
-over every call in the file, locked or not.
+over every call in the file, locked or not. LK004 also gets seeded
+mutations of the real ``serving/batching.py`` and ``serving/service.py``:
+a sleep or a file write planted inside a shipped critical section must
+be flagged at exactly the planted line.
 """
 
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +270,71 @@ class Stopper:
             self._worker.join()
 '''
     assert "LK004" in _rules(source)
+
+
+@pytest.mark.parametrize("call", [
+    'open(path, "a").write("x")',
+    "Path(path).read_text()",
+    "Path(path).write_bytes(b'x')",
+    "subprocess.Popen(['true'])",
+    "os.system('true')",
+])
+def test_lk004_fires_on_file_io_and_spawn_under_lock(call):
+    source = f'''
+import os
+import subprocess
+import threading
+from pathlib import Path
+
+class Journal:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def append(self, path):
+        with self._lock:
+            {call}
+'''
+    assert [f.line for f in _findings(source) if f.rule == "LK004"] == [13]
+
+
+# The seeded mutations below plant a blocking call inside a real
+# critical section of the shipped serving code — the shape the fault
+# model forbids (a wedged holder stalls every request contending for
+# the lock). Each anchor is asserted present, so a refactor of the
+# real source breaks the test loudly instead of making it vacuous.
+_SERVING = Path(__file__).resolve().parents[1] / "src" / "repro" / "serving"
+
+_LOCK_SITES = {
+    "batching": ("batching.py",
+                 '    def __enter__(self) -> "Pending":\n'
+                 '        with self._lock:\n'),
+    "service": ("service.py",
+                '    def _batcher_for(self, entry: ModelEntry) '
+                '-> MicroBatcher:\n'
+                '        with self._batchers_lock:\n'),
+}
+
+_BLOCKING_STATEMENTS = {
+    "sleep": "time.sleep(0.01)",
+    "open-write": 'open("pending.log", "a").write("entered\\n")',
+    "path-write": 'Path("pending.log").write_text("entered")',
+}
+
+
+@pytest.mark.parametrize("statement", sorted(_BLOCKING_STATEMENTS))
+@pytest.mark.parametrize("site", sorted(_LOCK_SITES))
+def test_lk004_seeded_blocking_call_in_real_serving_lock(tmp_path, site,
+                                                        statement):
+    filename, anchor = _LOCK_SITES[site]
+    source = (_SERVING / filename).read_text()
+    assert source.count(anchor) == 1
+    planted = f"            {_BLOCKING_STATEMENTS[statement]}\n"
+    mutated = source.replace(anchor, anchor + planted)
+    planted_line = mutated[:mutated.index(planted)].count("\n") + 1
+    (tmp_path / filename).write_text(mutated)
+    findings = [f for f in check_lock_discipline([tmp_path])
+                if f.rule == "LK004"]
+    assert [f.line for f in findings] == [planted_line]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.checks import driver as driver_mod
 from repro.checks.driver import (
     EXIT_ANALYZER_CRASH,
@@ -26,19 +24,7 @@ from repro.checks.findings import (
     Suppression,
     update_baseline,
 )
-from repro.checks.hotpath import check_hotpath
 from repro.errors import CheckError
-
-
-@pytest.fixture(autouse=True)
-def _quiet_hotpath(monkeypatch):
-    # The repo deliberately carries two baselined HP findings (the
-    # ROADMAP perf debts); these driver tests assert exact finding
-    # sets, so they run against a hotpath analyzer that reports
-    # nothing. The HP-specific driver tests below swap the real
-    # runner back in.
-    monkeypatch.setitem(driver_mod.ANALYZERS, "hotpath",
-                        ("HP", lambda opts: []))
 
 
 def _boom(opts):
@@ -196,43 +182,3 @@ def test_stale_detection_suppressed_on_filtered_runs():
                       rules=["DT"]).stale_suppressions == []
     assert run_checks(baseline=loaded,
                       rules=["DT003"]).stale_suppressions == []
-
-
-# ---------------------------------------------------------------------------
-# hotpath driver hygiene (--rule HP, stale pruning)
-# ---------------------------------------------------------------------------
-
-#: The grandfathered finding a baseline-less hotpath run reports: the
-#: lifecycle log's intentional mid-frame fault site (HP001 was retired
-#: when predict_one moved onto the batch FFI path).
-_HP_DEBTS = [("HP004", "src/repro/lifecycle/obslog.py")]
-
-
-def _real_hotpath(monkeypatch):
-    """Swap the real analyzer back in over the autouse stub."""
-    monkeypatch.setitem(driver_mod.ANALYZERS, "hotpath",
-                        ("HP", lambda opts: check_hotpath()))
-
-
-@pytest.mark.parametrize("token", ["hp", "HP"])
-def test_rule_prefix_selects_hotpath(monkeypatch, token):
-    _real_hotpath(monkeypatch)
-    report = run_checks(rules=[token])
-    assert report.analyzers_run == ["hotpath"]
-    assert [(f.rule, f.path) for f in report.findings] == _HP_DEBTS
-    assert report.exit_code == EXIT_FINDINGS   # no baseline passed
-
-
-def test_stale_hp_suppression_pruned_on_update(monkeypatch, tmp_path):
-    _real_hotpath(monkeypatch)
-    baseline_path = tmp_path / "baseline.toml"
-    baseline_path.write_text(
-        '[[suppress]]\nrule = "HP005"\n'
-        'path = "src/repro/gone.py"\nline = 1\n'
-        'reason = "fixed long ago"\n')
-    report = run_checks(rules=["HP"])
-    kept, added, dropped = update_baseline(report.findings, baseline_path)
-    assert (kept, added, dropped) == (0, len(_HP_DEBTS), 1)
-    assert "HP005" not in baseline_path.read_text()
-    assert run_checks(rules=["HP"],
-                      baseline=baseline_path).exit_code == 0

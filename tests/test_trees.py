@@ -1,5 +1,7 @@
 """Tests for the gradient-boosted tree framework."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -352,6 +354,34 @@ class TestHistogramRegression:
                 # Single-bin features can never split and get no cells.
                 assert np.array_equal(dense[:, layout.features],
                                       reference[:, layout.features])
+
+    def test_pass_budget_bounds_histogram_temporaries(self, monkeypatch):
+        # Each histogram pass is capped at _MAX_PASS_CELLS cells of
+        # temporaries, so a small budget must shrink the measured peak
+        # (not just split the loop) below what rows x features costs,
+        # while the histogram stays bit-identical.
+        rng = np.random.default_rng(4)
+        n_rows, n_features = 20_000, 40
+        X = rng.normal(size=(n_rows, n_features))
+        grad = rng.normal(size=n_rows)
+        hess = rng.uniform(0.1, 2.0, size=n_rows)
+        mapper = BinMapper(max_bins=255).fit(X)
+        grower = TreeGrower(mapper.transform(X), mapper, GrowthParams())
+        rows = np.arange(n_rows, dtype=np.int64)
+
+        def traced(budget):
+            monkeypatch.setattr(grow_module, "_MAX_PASS_CELLS", budget)
+            tracemalloc.start()
+            try:
+                hist = grower._build_histogram(rows, grad, hess)
+                return hist, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        lifted_hist, lifted_peak = traced(2 * n_rows * n_features)
+        bounded_hist, bounded_peak = traced(4096)
+        assert np.array_equal(bounded_hist, lifted_hist)
+        assert bounded_peak <= lifted_peak / 4
 
     @staticmethod
     def _reference_fit_bounds(X, max_bins):
