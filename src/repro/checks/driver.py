@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import CheckError
 from ..trees.boosting import BoostedTreesModel
 from ..trees.serialize import loads_model
+from .callgraph import build_call_graph
 from .codegen_verify import self_check_model, verify_codegen
 from .concurrency import check_lock_discipline
 from .determinism import check_determinism
@@ -141,6 +142,8 @@ class CheckReport:
     suppressed: List[Finding]
     analyzers_run: List[str]
     elapsed_seconds: float
+    #: seconds per analyzer, plus ``call-graph`` for the shared graph
+    #: build when an interprocedural analyzer ran
     timings: Dict[str, float] = field(default_factory=dict)
     #: baseline entries that matched no finding this run — dead weight
     #: (the source line moved or the issue was fixed); prune them with
@@ -256,6 +259,12 @@ ANALYZERS: Dict[str, Tuple[str, Callable[[CheckOptions], List[Finding]]]] = {
     "resources": ("RS", lambda opts: check_resource_lifecycles()),
 }
 
+#: Analyzers that walk the shared interprocedural call graph. The driver
+#: builds it once, up front, and times it as its own ``call-graph``
+#: entry, so no analyzer's time includes it.
+_CALL_GRAPH_ANALYZERS = frozenset({"determinism", "exceptions", "resources"})
+
+
 def _selected_analyzers(rules: Optional[Sequence[str]]) -> List[str]:
     """Names of the analyzers a ``--rule`` selection touches.
 
@@ -320,6 +329,13 @@ def run_checks(rules: Optional[Sequence[str]] = None,
 
     findings: List[Finding] = []
     timings: Dict[str, float] = {}
+    if _CALL_GRAPH_ANALYZERS.intersection(analyzers_run):
+        graph_started = time.perf_counter()
+        try:
+            build_call_graph()
+        except Exception:   # each analyzer meets it again, as its <prefix>000
+            pass
+        timings["call-graph"] = time.perf_counter() - graph_started
     for name in analyzers_run:
         prefix, runner = ANALYZERS[name]
         produced, timings[name] = _run_one(name, prefix, runner, opts)

@@ -6,9 +6,11 @@ layout drifts. Three artifacts must agree:
 
 1. the **declarations** — ``_STAGE_FEATURES`` in ``core/features.py``
    and ``OPERATOR_STAGES`` in ``engine/stages.py``,
-2. the **emit sites** — the ``suffix == "..."`` extractor chain in
-   ``FeatureRegistry._basic_feature_values`` plus the keys returned by
-   ``_expression_percentages`` (routed through ``_fill_stage``),
+2. the **emit sites** — the ``suffix == "..."`` dispatch chain in
+   ``FeatureRegistry._basic_feature_extractor`` (which the registry runs
+   once per declared feature to pick its extractor), plus the keys
+   returned by ``_expression_percentages`` and the ``count`` write in
+   ``_fill_stage``,
 3. any **persisted model** — ``n_features`` and, when present, the
    ``feature_names`` layout saved by :meth:`repro.core.model.T3Model.save`.
 
@@ -68,9 +70,9 @@ class DeclaredSchema:
 
 @dataclass
 class EmittedFeatures:
-    """What the extractor chain can actually produce."""
+    """What the extractor dispatch chain can actually produce."""
 
-    #: suffixes with an explicit ``suffix == "..."`` extractor branch
+    #: suffixes with an explicit ``suffix == "..."`` dispatch branch
     handled: Dict[str, int]
     #: prefixes routed to ``_expression_percentages`` (e.g. ``expr_``)
     prefixes: Dict[str, int]
@@ -168,13 +170,13 @@ def extract_operator_stages(stages_path: Union[str, Path] = _STAGES_PATH
 
 def extract_emitted_features(features_path: Union[str, Path] = _FEATURES_PATH
                              ) -> EmittedFeatures:
-    """Read the extractor chain's emit capability from the source."""
+    """Read the extractor dispatch chain's emit capability from the source."""
     tree = load_module_ast(features_path)
     emitted = EmittedFeatures(handled={}, prefixes={},
                               expression_keys={}, direct={})
 
     basic = find_class_function(tree, "FeatureRegistry",
-                                "_basic_feature_values")
+                                "_basic_feature_extractor")
     for node in ast.walk(basic):
         if isinstance(node, ast.Compare):
             left, ops, comparators = node.left, node.ops, node.comparators
@@ -263,7 +265,7 @@ def check_feature_schema(features_path: Union[str, Path] = _FEATURES_PATH,
                     "FS002", Severity.ERROR, rel, suffix_line,
                     f"feature {suffix!r} declared for ({pair[0]}, "
                     f"{pair[1]}) has no extractor branch in "
-                    "_basic_feature_values"))
+                    "_basic_feature_extractor"))
 
     # FS001: extractor-side emissions nothing declares.
     declared_suffixes = schema.all_suffixes()

@@ -332,7 +332,7 @@ def verify_featurization_ast(path: Union[str, Path] = _FEATURES_PATH
     findings: List[Finding] = []
 
     basic = find_class_function(tree, "FeatureRegistry",
-                                "_basic_feature_values")
+                                "_basic_feature_extractor")
     for literal, branch in _suffix_branches(basic):
         if literal not in _PERCENTAGE_SUFFIXES:
             continue

@@ -16,21 +16,14 @@ declarations, so adding an operator requires only a new entry in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import FeatureError, SchemaError
 from ..engine.cardinality import CardinalityModel
 from ..engine.expressions import ExpressionKind
-from ..engine.physical import (
-    PGroupBy,
-    PhysicalPlan,
-    PIndexNLJoin,
-    PSort,
-    PTableScan,
-    PTopK,
-)
+from ..engine.physical import PhysicalOperator, PhysicalPlan, PTableScan
 from ..engine.pipelines import (
     Pipeline,
     StageFlow,
@@ -48,6 +41,9 @@ _EXPRESSION_CLASSES = (
     ExpressionKind.LIKE,
     ExpressionKind.OTHER,
 )
+
+#: Per-class fractions before any predicate is evaluated.
+_NO_FRACTIONS = {kind: 0.0 for kind in _EXPRESSION_CLASSES}
 
 #: Basic features per (operator, stage), beyond the implicit ``count``.
 #: Names follow the paper's ``<stream>_<kind>`` convention.
@@ -109,21 +105,30 @@ _STAGE_FEATURES: Dict[Tuple[OperatorType, Stage], Tuple[str, ...]] = {
 }
 
 
-class _StagePlan:
-    """Precomputed write plan for one ``(operator, stage)`` pair.
+#: Reads one basic feature off a stage: ``(flow, operator, start)``.
+_Extractor = Callable[[StageFlow, PhysicalOperator, float], float]
 
-    Resolving feature names to column indices once at registry
-    construction keeps string formatting and dict lookups off the
-    per-pipeline featurization hot path.
+
+class _StagePlan:
+    """Precomputed writer for one ``(operator, stage)`` pair.
+
+    Feature names are resolved to column indices, and each basic
+    feature to its extractor, once at registry construction, so the
+    per-stage featurization hot path does no string formatting, name
+    lookups or suffix dispatch.
     """
 
-    __slots__ = ("count_index", "suffixes", "indices")
+    __slots__ = ("count_index", "extractors", "expression_indices")
 
-    def __init__(self, count_index: int, suffixes: Tuple[str, ...],
-                 indices: Tuple[int, ...]):
+    def __init__(self, count_index: int,
+                 extractors: Tuple[Tuple[int, _Extractor], ...],
+                 expression_indices: Tuple[Tuple[int, str], ...]):
         self.count_index = count_index
-        self.suffixes = suffixes
-        self.indices = indices
+        #: (column, extractor) per basic feature, in declared order
+        self.extractors = extractors
+        #: (column, key) per ``expr_*`` feature, filled from the one
+        #: :meth:`FeatureRegistry._expression_percentages` call per stage
+        self.expression_indices = expression_indices
 
 
 class FeatureRegistry:
@@ -143,11 +148,20 @@ class FeatureRegistry:
                 self._register(f"{prefix}_{suffix}")
         self._stage_plans: Dict[Tuple[OperatorType, Stage], _StagePlan] = {}
         for op_type, stage in all_operator_stage_pairs():
-            suffixes = _STAGE_FEATURES.get((op_type, stage), ())
             prefix = f"{op_type.value}_{stage.value}"
+            extractors = []
+            expression_indices = []
+            for suffix in _STAGE_FEATURES.get((op_type, stage), ()):
+                index = self._index[f"{prefix}_{suffix}"]
+                extract = self._basic_feature_extractor(suffix, op_type,
+                                                        stage)
+                if extract is None:
+                    expression_indices.append((index, suffix))
+                else:
+                    extractors.append((index, extract))
             self._stage_plans[(op_type, stage)] = _StagePlan(
-                self._index[f"{prefix}_count"], tuple(suffixes),
-                tuple(self._index[f"{prefix}_{s}"] for s in suffixes))
+                self._index[f"{prefix}_count"], tuple(extractors),
+                tuple(expression_indices))
 
     def _register(self, name: str) -> None:
         if name in self._index:
@@ -185,6 +199,11 @@ class FeatureRegistry:
         return "\n".join(lines)
 
     # -- vector construction ---------------------------------------------------
+    #
+    # Features are written through a memoryview of the destination row:
+    # a float64 item write costs a fraction of a NumPy scalar
+    # ``out[i] += v``, allocates nothing, and adds the same doubles in
+    # the same order.
 
     def vector_for_pipeline(self, pipeline: Pipeline,
                             model: CardinalityModel) -> np.ndarray:
@@ -205,10 +224,11 @@ class FeatureRegistry:
         percentage features), which callers need as the per-tuple
         target denominator.
         """
+        row = memoryview(out)
         card = pipeline_input_cardinality(pipeline, model)
         start = max(card, 1.0)
         for flow in compute_stage_flows(pipeline, model):
-            self._fill_stage(out, flow, start, model)
+            self._fill_stage(row, flow, start, model)
         return card
 
     def fill_matrix(self, pipelines: Sequence[Pipeline],
@@ -237,7 +257,7 @@ class FeatureRegistry:
 
     # -- per-stage feature extraction -----------------------------------------
 
-    def _fill_stage(self, out: np.ndarray, flow: StageFlow, start: float,
+    def _fill_stage(self, row: memoryview, flow: StageFlow, start: float,
                     model: CardinalityModel) -> None:
         op = flow.ref.operator
         op_type, stage = op.op_type, flow.ref.stage
@@ -247,72 +267,66 @@ class FeatureRegistry:
                 f"pipeline produced stage ({op_type.value}, {stage.value}) "
                 "that the feature registry does not know; declare it in "
                 "OPERATOR_STAGES and _STAGE_FEATURES")
-        out[plan.count_index] += 1.0
-        if not plan.suffixes:
-            return
-        values = self._basic_feature_values(flow, start, model, plan.suffixes)
-        for index, value in zip(plan.indices, values):
-            out[index] += value
+        row[plan.count_index] += 1.0
+        for index, extract in plan.extractors:
+            row[index] += extract(flow, op, start)
+        # A scan without predicates evaluates no expressions: every
+        # percentage is 0.0, and adding 0.0 changes no bit of the row.
+        if plan.expression_indices and op.predicates:
+            expr = self._expression_percentages(op, start, model)
+            for index, key in plan.expression_indices:
+                row[index] += expr[key]
 
-    def _basic_feature_values(self, flow: StageFlow, start: float,
-                              model: CardinalityModel,
-                              declared: Sequence[str]) -> List[float]:
-        """Basic-feature values aligned with ``declared`` order."""
-        op = flow.ref.operator
-        stage = flow.ref.stage
-        expr: Optional[Dict[str, float]] = None
-        tuples_in = flow.tuples_in
-        values: List[float] = []
-        for suffix in declared:
-            if suffix == "in_card":
-                if stage is Stage.PROBE:
-                    values.append(flow.state_cardinality)
-                elif isinstance(op, PIndexNLJoin):
-                    values.append(float(op.inner_rows_hint))
-                else:
-                    values.append(tuples_in)
-            elif suffix == "in_size":
-                if isinstance(op, PTableScan):
-                    values.append(float(op.scan_byte_width))
-                else:
-                    values.append(float(flow.stored_byte_width))
-            elif suffix == "in_percentage":
-                values.append(tuples_in / start)
-            elif suffix == "right_percentage":
-                values.append(tuples_in / start)
-            elif suffix == "out_percentage":
-                values.append(flow.tuples_out / start)
-            elif suffix == "out_card":
-                values.append(flow.materialized_cardinality)
-            elif suffix == "out_size":
-                values.append(float(op.output_byte_width))
-            elif suffix == "n_aggregates":
-                values.append(float(len(op.aggregates)))
-            elif suffix == "n_keys":
-                if isinstance(op, PGroupBy):
-                    values.append(float(len(op.group_columns)))
-                elif isinstance(op, (PSort, PTopK)):
-                    values.append(float(len(op.keys)))
-                else:
-                    values.append(0.0)
-            elif suffix == "n_operations":
-                values.append(float(op.n_operations) * (tuples_in / start))
-            elif suffix == "expr_weight":
-                weight = sum(p.evaluation_cost_weight() for p in op.predicates)
-                values.append(weight * (tuples_in / start))
-            elif suffix.startswith("expr_"):
-                if expr is None:
-                    expr = self._expression_percentages(op, start, model)
-                values.append(expr[suffix])
-            else:  # pragma: no cover - registry and extractor stay in sync
-                raise FeatureError(f"no extractor for basic feature {suffix!r}")
-        return values
+    @staticmethod
+    def _basic_feature_extractor(suffix: str, op_type: OperatorType,
+                                 stage: Stage) -> Optional[_Extractor]:
+        """The extractor of basic feature ``suffix`` of one ``(operator,
+        stage)`` pair; ``None`` for the ``expr_*`` features, which
+        :meth:`_expression_percentages` computes together per stage."""
+        if suffix == "in_card":
+            if stage is Stage.PROBE:
+                return lambda flow, op, start: flow.state_cardinality
+            if op_type is OperatorType.INDEX_NL_JOIN:
+                return lambda flow, op, start: float(op.inner_rows_hint)
+            return lambda flow, op, start: flow.tuples_in
+        if suffix == "in_size":
+            if op_type is OperatorType.TABLE_SCAN:
+                return lambda flow, op, start: float(op.scan_byte_width)
+            return lambda flow, op, start: float(flow.stored_byte_width)
+        if suffix == "in_percentage":
+            return lambda flow, op, start: flow.tuples_in / start
+        if suffix == "right_percentage":
+            return lambda flow, op, start: flow.tuples_in / start
+        if suffix == "out_percentage":
+            return lambda flow, op, start: flow.tuples_out / start
+        if suffix == "out_card":
+            return lambda flow, op, start: flow.materialized_cardinality
+        if suffix == "out_size":
+            return lambda flow, op, start: float(op.output_byte_width)
+        if suffix == "n_aggregates":
+            return lambda flow, op, start: float(len(op.aggregates))
+        if suffix == "n_keys":
+            if op_type is OperatorType.GROUP_BY:
+                return lambda flow, op, start: float(len(op.group_columns))
+            if op_type in (OperatorType.SORT, OperatorType.TOP_K):
+                return lambda flow, op, start: float(len(op.keys))
+            return lambda flow, op, start: 0.0
+        if suffix == "n_operations":
+            return lambda flow, op, start: (
+                float(op.n_operations) * (flow.tuples_in / start))
+        if suffix == "expr_weight":
+            return lambda flow, op, start: (
+                sum(p.evaluation_cost_weight() for p in op.predicates)
+                * (flow.tuples_in / start))
+        if suffix.startswith("expr_"):
+            return None
+        raise FeatureError(f"no extractor for basic feature {suffix!r}")
 
     def _expression_percentages(self, op: PTableScan, start: float,
                                 model: CardinalityModel) -> Dict[str, float]:
         """Per-class fractions of scanned tuples each predicate class is
         evaluated on (short-circuit conjunction, Section 3)."""
-        fractions = {kind: 0.0 for kind in _EXPRESSION_CLASSES}
+        fractions = _NO_FRACTIONS.copy()   # a copy skips rehashing the keys
         surviving = 1.0
         for predicate in op.predicates:
             kind = predicate.kind

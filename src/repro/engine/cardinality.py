@@ -70,6 +70,11 @@ class CardinalityModel:
         # cardinality for the new one — a stale hit whose occurrence
         # depends on allocation history, i.e. non-deterministic plans.
         self._memo: Dict[int, Tuple[PhysicalOperator, float]] = {}
+        # id(predicate) -> (predicate, unclamped selectivity), pinned the
+        # same way. The optimizer's predicate order, the scan's
+        # cardinality and the expression-percentage features all ask
+        # for it; the memo evaluates each predicate once per model.
+        self._selectivities: Dict[int, Tuple[object, float]] = {}
 
     # -- public API -----------------------------------------------------
 
@@ -90,10 +95,20 @@ class CardinalityModel:
         """Selectivity of one predicate under this model (public hook for
         feature extraction, which needs per-predicate evaluated
         fractions)."""
-        return min(1.0, max(0.0, self._predicate_selectivity(predicate)))
+        return min(1.0, max(0.0, self.raw_selectivity(predicate)))
+
+    def raw_selectivity(self, predicate) -> float:
+        """Unclamped selectivity of one predicate (memoized)."""
+        hit = self._selectivities.get(id(predicate))
+        if hit is None:
+            value = self._predicate_selectivity(predicate)
+            self._selectivities[id(predicate)] = (predicate, value)
+            return value
+        return hit[1]
 
     def reset(self) -> None:
         self._memo.clear()
+        self._selectivities.clear()
 
     # -- hooks the concrete models implement ------------------------------
 
@@ -114,7 +129,7 @@ class CardinalityModel:
     def _conjunction_selectivity(self, predicates, correlation_factor: float) -> float:
         selectivity = 1.0
         for predicate in predicates:
-            selectivity *= self._predicate_selectivity(predicate)
+            selectivity *= self.raw_selectivity(predicate)
         if predicates:
             selectivity *= self._conjunction_correlation(correlation_factor)
         return min(1.0, max(0.0, selectivity))

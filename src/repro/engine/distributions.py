@@ -52,6 +52,11 @@ class Distribution:
         """Value ``v`` such that ``selectivity_le(v)`` is approximately ``p``."""
         raise NotImplementedError
 
+    def quantiles(self, ps: np.ndarray) -> List[float]:
+        """:meth:`quantile` of each of ``ps``, bit for bit; subclasses
+        vectorize it."""
+        return [self.quantile(p) for p in ps.tolist()]
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` concrete values (int64) for the real executor."""
         raise NotImplementedError
@@ -114,6 +119,11 @@ class UniformInt(Distribution):
         p = min(max(p, 0.0), 1.0)
         return float(self.min_value + round(p * (self.n_distinct - 1)))
 
+    def quantiles(self, ps: np.ndarray) -> List[float]:
+        # np.rint rounds half to even, as round() does.
+        ranks = np.rint(np.clip(ps, 0.0, 1.0) * (self.n_distinct - 1))
+        return (self.min_value + ranks).tolist()
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(int(self.min_value), int(self.max_value) + 1,
                             size=n, dtype=np.int64)
@@ -167,6 +177,11 @@ class ZipfInt(Distribution):
         rank = int(np.searchsorted(self._cdf, p))
         return float(self.min_value + min(rank, self.n_distinct - 1))
 
+    def quantiles(self, ps: np.ndarray) -> List[float]:
+        ranks = np.searchsorted(self._cdf, np.clip(ps, 0.0, 1.0))
+        return (self.min_value
+                + np.minimum(ranks, self.n_distinct - 1)).tolist()
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         ranks = rng.choice(self.n_distinct, size=n, p=self._pmf)
         return (ranks + int(self.min_value)).astype(np.int64)
@@ -208,6 +223,11 @@ class CategoricalCodes(Distribution):
     def quantile(self, p: float) -> float:
         p = min(max(p, 0.0), 1.0)
         return float(min(int(np.searchsorted(self._cdf, p)), self.n_distinct - 1))
+
+    def quantiles(self, ps: np.ndarray) -> List[float]:
+        ranks = np.searchsorted(self._cdf, np.clip(ps, 0.0, 1.0))
+        return np.minimum(ranks, self.n_distinct - 1).astype(
+            np.float64).tolist()
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.n_distinct, size=n, p=self._pmf).astype(np.int64)

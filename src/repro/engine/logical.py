@@ -31,9 +31,13 @@ class LogicalNode:
 
     def walk(self):
         """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.inputs:
-            yield from child.walk()
+        # An explicit stack: nested ``yield from`` costs every node one
+        # generator hop per level above it.
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.inputs))
 
 
 @dataclass

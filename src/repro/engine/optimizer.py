@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
+import numpy as np
+
 from ..errors import PlanError
 from .cardinality import EstimatedCardinalityModel
 from .catalog import Catalog
@@ -165,15 +167,16 @@ class _Lowering:
 
     def _lower_scan(self, node: LogicalScan) -> PTableScan:
         table = self.schema.table(node.table)
-        needed = self.required.get(node.table) or set(table.column_names)
-        columns = [(node.table, c) for c in table.column_names if c in needed]
-        if not columns:
-            columns = [(node.table, table.column_names[0])]
-        # Evaluate the most selective predicates first (Umbra-style).
-        predicates = sorted(
-            node.predicates,
-            key=lambda p: p.estimated_selectivity(self.catalog))
-        width = self._width_of(columns)
+        needed = self.required.get(node.table)
+        read = ([c for c in table.columns if not needed or c.name in needed]
+                or table.columns[:1])
+        columns = [(node.table, c.name) for c in read]
+        width = sum(c.byte_width for c in read)
+        # Evaluate the most selective predicates first (Umbra-style);
+        # the estimator memoizes each one for the cardinality it is
+        # about to be asked for.
+        predicates = sorted(node.predicates,
+                            key=self._estimator.raw_selectivity)
         return PTableScan(node.table, predicates, node.correlation_factor,
                           columns, width, scan_byte_width=width)
 
@@ -204,6 +207,10 @@ class _Lowering:
         left_card = self._estimated(left)
         right_card = self._estimated(right)
 
+        # Every lowered operator's output_byte_width is the summed width
+        # of its output_columns, so a join's output width is the sum of
+        # its inputs' widths; no column is looked up again.
+
         if node.kind == "inner":
             # Index nested-loop join: tiny outer probing a huge base table.
             if (config.enable_index_nl_join and isinstance(right, PTableScan)
@@ -211,11 +218,11 @@ class _Lowering:
                     and self.schema.table(right.table).primary_key
                     == right_col[1]
                     and left_card < right_card * config.index_join_outer_fraction):
-                out_columns = left.output_columns + right.output_columns
                 return PIndexNLJoin(
                     left, right.table, self.catalog.row_count(right.table),
                     left_col, right_col, edge.fanout,
-                    out_columns, self._width_of(out_columns))
+                    left.output_columns + right.output_columns,
+                    left.output_byte_width + right.output_byte_width)
             # Hash join: build on the smaller estimated side.
             if left_card <= right_card:
                 build, probe = left, right
@@ -223,17 +230,17 @@ class _Lowering:
             else:
                 build, probe = right, left
                 build_col, probe_col = right_col, left_col
-            out_columns = build.output_columns + probe.output_columns
             return PHashJoin(build, probe, build_col, probe_col, edge.fanout,
-                             out_columns, self._width_of(out_columns),
+                             build.output_columns + probe.output_columns,
+                             build.output_byte_width
+                             + probe.output_byte_width,
                              stored_byte_width=build.output_byte_width)
 
         # Semi/anti joins: left side is the filter set, right side survives.
         cls = PSemiJoin if node.kind == "semi" else PAntiJoin
-        out_columns = list(right.output_columns)
         build_width = self._column_width(*left_col)
         return cls(left, right, left_col, right_col, edge.fanout,
-                   out_columns, self._width_of(out_columns),
+                   right.output_columns, right.output_byte_width,
                    stored_byte_width=build_width)
 
     def _try_eliminate_small_table(
@@ -243,13 +250,12 @@ class _Lowering:
         """Replace a join with a tiny filtered table by IN predicates."""
         if not isinstance(small_side, LogicalScan):
             return None
+        table = small_side.table
+        if self.catalog.row_count(table) > self.config.small_table_threshold:
+            return None
         if keep_col[0] not in keep_side.tables():
             # The surviving side no longer contains the join column's
             # table (e.g. it was itself eliminated) — keep the join.
-            return None
-        table = small_side.table
-        rows = self.catalog.row_count(table)
-        if rows > self.config.small_table_threshold:
             return None
         # Columns of the small table must not be needed upstream (beyond
         # the join key and the scan's own filter columns).
@@ -290,11 +296,9 @@ class _Lowering:
             selectivity *= predicate.true_selectivity(self.catalog)
         selectivity *= scan.correlation_factor
         n_qualifying = max(1, int(round(n_keys * min(1.0, selectivity))))
-        dist = stats.distribution
         # Deterministic representative keys: spread across the domain.
-        keys = sorted({dist.quantile((i + 0.5) / n_qualifying)
-                       for i in range(n_qualifying)})
-        return [float(k) for k in keys]
+        spread = (np.arange(n_qualifying) + 0.5) / n_qualifying
+        return sorted(set(stats.distribution.quantiles(spread)))
 
     def _lower_group_by(self, node: LogicalGroupBy) -> PhysicalOperator:
         child = self._lower(node.input)

@@ -49,9 +49,14 @@ class PhysicalOperator:
         return operator_stages(self.op_type)
 
     def walk(self) -> Iterator["PhysicalOperator"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Yield this operator and all below it, pre-order."""
+        # An explicit stack: nested ``yield from`` costs every operator
+        # one generator hop per level above it.
+        stack = [self]
+        while stack:
+            op = stack.pop()
+            yield op
+            stack.extend(reversed(op.children))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(id={self.node_id})"

@@ -15,7 +15,7 @@ simulator are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from ..errors import PlanError
 from .cardinality import CardinalityModel
@@ -37,9 +37,13 @@ from .stages import (
 )
 
 
-@dataclass(frozen=True)
-class StageRef:
-    """One operator stage occurring in a pipeline."""
+class StageRef(NamedTuple):
+    """One operator stage occurring in a pipeline.
+
+    Stage records are named tuples, not dataclasses: a plan builds a
+    dozen or more of them per featurization, and a tuple is the
+    cheapest immutable record Python constructs.
+    """
 
     operator: PhysicalOperator
     stage: Stage
@@ -113,8 +117,7 @@ def decompose_into_pipelines(plan: PhysicalPlan) -> List[Pipeline]:
     return [Pipeline(index, stages) for index, stages in enumerate(completed)]
 
 
-@dataclass(frozen=True)
-class StageFlow:
+class StageFlow(NamedTuple):
     """Tuple flow through one stage of one pipeline.
 
     Attributes
@@ -154,39 +157,40 @@ def compute_stage_flows(pipeline: Pipeline,
     """Derive the tuple flow of every stage in a pipeline."""
     flows: List[StageFlow] = []
     current = 0.0
+    cardinality = model.output_cardinality
     for ref in pipeline.stages:
-        op, stage = ref.operator, ref.stage
+        op, stage = ref
+        # StageFlow fields, positionally: ref, tuples_in, tuples_out,
+        # state_cardinality, materialized_cardinality, stored_byte_width.
         if stage is Stage.SCAN:
             if isinstance(op, PTableScan):
                 tuples_in = model.base_cardinality(op)
                 width = op.scan_byte_width
             else:
-                tuples_in = model.output_cardinality(op)
+                tuples_in = cardinality(op)
                 width = getattr(op, "stored_byte_width", op.output_byte_width)
-            tuples_out = model.output_cardinality(op)
-            flows.append(StageFlow(ref, tuples_in, tuples_out,
-                                   stored_byte_width=width))
+            tuples_out = cardinality(op)
+            flows.append(StageFlow(ref, tuples_in, tuples_out, 0.0, 0.0,
+                                   width))
             current = tuples_out
         elif stage is Stage.PASS_THROUGH:
-            tuples_out = model.output_cardinality(op)
+            tuples_out = cardinality(op)
             flows.append(StageFlow(ref, current, tuples_out))
             current = tuples_out
         elif stage is Stage.PROBE:
-            if isinstance(op, (PCrossProduct,)) or isinstance(op, _JoinBase):
-                state = model.output_cardinality(op.build_child)
+            if isinstance(op, (PCrossProduct, _JoinBase)):
+                state = cardinality(op.build_child)
             else:
                 raise PlanError(f"probe stage on non-join {op.op_type}")
-            tuples_out = model.output_cardinality(op)
-            flows.append(StageFlow(
-                ref, current, tuples_out, state_cardinality=state,
-                stored_byte_width=getattr(op, "stored_byte_width", 0)))
+            tuples_out = cardinality(op)
+            flows.append(StageFlow(ref, current, tuples_out, state, 0.0,
+                                   getattr(op, "stored_byte_width", 0)))
             current = tuples_out
         elif stage is Stage.BUILD:
             materialized = _materialized_count(op, current, model)
             flows.append(StageFlow(
-                ref, current, 0.0, materialized_cardinality=materialized,
-                stored_byte_width=getattr(op, "stored_byte_width",
-                                          op.output_byte_width)))
+                ref, current, 0.0, 0.0, materialized,
+                getattr(op, "stored_byte_width", op.output_byte_width)))
             current = 0.0
         else:  # pragma: no cover - enum is exhaustive
             raise PlanError(f"unknown stage {stage}")

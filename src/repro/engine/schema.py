@@ -10,6 +10,7 @@ and what the optimizer believes can diverge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import SchemaError
@@ -23,8 +24,10 @@ class Column:
     name: str
     dtype: DataType
 
-    @property
+    @cached_property
     def byte_width(self) -> int:
+        # Cached: the optimizer sums column widths for every scan it
+        # lowers, and the type's width is an enum-keyed lookup.
         return self.dtype.byte_width
 
 
@@ -41,6 +44,11 @@ class TableSchema:
         if len(set(names)) != len(names):
             raise SchemaError(f"table {name!r} has duplicate column names")
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
+        # SQL resolves unquoted identifiers case-insensitively, so two
+        # names that differ only in case could not both be addressed.
+        if len({n.lower() for n in names}) != len(names):
+            raise SchemaError(
+                f"table {name!r} has column names that differ only in case")
         if primary_key is not None and primary_key not in self._by_name:
             raise SchemaError(
                 f"primary key {primary_key!r} is not a column of {name!r}")
@@ -99,14 +107,35 @@ class DatabaseSchema:
                  join_edges: Iterable[JoinEdge] = ()):
         self.name = name
         self.tables: Dict[str, TableSchema] = {}
+        #: case-folded name -> table name (see :meth:`resolve_table`)
+        self._folded_tables: Dict[str, str] = {}
+        #: case-folded column name -> {table name: column name}, in
+        #: table order (see :meth:`column_owners`)
+        self._column_owners: Dict[str, Dict[str, str]] = {}
         for table in tables:
             if table.name in self.tables:
                 raise SchemaError(f"duplicate table {table.name!r}")
+            folded = table.name.lower()
+            if folded in self._folded_tables:
+                raise SchemaError(
+                    f"tables {self._folded_tables[folded]!r} and "
+                    f"{table.name!r} differ only in case")
             self.tables[table.name] = table
+            self._folded_tables[folded] = table.name
+            for column in table.column_names:
+                self._column_owners.setdefault(
+                    column.lower(), {})[table.name] = column
         self.join_edges: List[JoinEdge] = []
+        #: (left, right) -> the first declared edge between the two
+        #: tables, oriented left -> right (see :meth:`edge_between`)
+        self._edge_index: Dict[Tuple[str, str], JoinEdge] = {}
         for edge in join_edges:
             self._check_edge(edge)
             self.join_edges.append(edge)
+            self._edge_index.setdefault(
+                (edge.left_table, edge.right_table), edge)
+            self._edge_index.setdefault(
+                (edge.right_table, edge.left_table), edge.reversed())
 
     def _check_edge(self, edge: JoinEdge) -> None:
         for table_name, column_name in ((edge.left_table, edge.left_column),
@@ -121,6 +150,24 @@ class DatabaseSchema:
             raise SchemaError(
                 f"database {self.name!r} has no table {name!r}") from None
 
+    def find_table(self, identifier: str) -> Optional[str]:
+        """The table an unquoted SQL identifier names (case-insensitive),
+        or ``None``."""
+        return self._folded_tables.get(identifier.lower())
+
+    def resolve_table(self, identifier: str) -> str:
+        """Like :meth:`find_table`, but an unknown name raises."""
+        table = self.find_table(identifier)
+        if table is None:
+            raise SchemaError(
+                f"database {self.name!r} has no table {identifier!r}")
+        return table
+
+    def column_owners(self, identifier: str) -> Dict[str, str]:
+        """``{table: column}`` for every table with a column an unquoted
+        SQL identifier names (case-insensitive); empty if none has."""
+        return self._column_owners.get(identifier.lower(), {})
+
     @property
     def table_names(self) -> List[str]:
         return list(self.tables)
@@ -131,12 +178,7 @@ class DatabaseSchema:
 
     def edge_between(self, left: str, right: str) -> Optional[JoinEdge]:
         """The first declared edge connecting two tables, oriented left→right."""
-        for edge in self.join_edges:
-            if edge.left_table == left and edge.right_table == right:
-                return edge
-            if edge.left_table == right and edge.right_table == left:
-                return edge.reversed()
-        return None
+        return self._edge_index.get((left, right))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"DatabaseSchema({self.name!r}, {len(self.tables)} tables, "

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import PlanError, SchemaError
+from ..errors import PlanError
 from ..rng import derive_rng
 from .catalog import Catalog
 from .expressions import (
@@ -68,11 +68,12 @@ class SQLError(PlanError):
 
 _TOKEN_RE = re.compile(r"""
     \s*(?:
-        (?P<number>-?\d+(?:\.\d+)?)
-      | (?P<string>'(?:[^']|'')*')
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
-      | (?P<op><=|>=|<>|!=|=|<|>)
-      | (?P<punct>[(),*])
+        (-?\d+(?:\.\d+)?)          # number
+      | ('(?:[^']|'')*')          # string
+      | ([A-Za-z_][A-Za-z0-9_.]*) # identifier or keyword
+      | (<=|>=|<>|!=|=|<|>)       # op
+      | ([(),*])                  # punct
+      | (\S)                      # anything else: a tokenize error
     )""", re.VERBOSE)
 
 _KEYWORDS = {
@@ -82,8 +83,7 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # number | string | ident | keyword | op | punct | end
     text: str
 
@@ -91,30 +91,46 @@ class Token:
         return self.kind == "keyword" and self.text == word
 
 
+_END = Token("end", "")
+
+#: Keyword, operator and punctuation tokens are immutable and few, so
+#: every occurrence shares one instance instead of building its own.
+_KEYWORD_TOKENS = {word: Token("keyword", word) for word in _KEYWORDS}
+_SYMBOL_TOKENS = {
+    **{op: Token("op", op) for op in ("<=", ">=", "<>", "!=", "=", "<", ">")},
+    **{char: Token("punct", char) for char in "(),*"},
+}
+
+
 def tokenize(sql: str) -> List[Token]:
-    """Split SQL text into tokens; raises :class:`SQLError` on garbage."""
+    """Split SQL text into tokens; raises :class:`SQLError` on garbage.
+
+    One ``findall`` pass: every alternative of ``_TOKEN_RE`` is one
+    capture group, so each match is a tuple with exactly one non-empty
+    entry, and the catch-all last group turns any character no token
+    starts with into an error instead of skipping it.
+    """
     tokens: List[Token] = []
-    position = 0
-    length = len(sql)
-    while position < length:
-        match = _TOKEN_RE.match(sql, position)
-        if match is None:
-            remainder = sql[position:].strip()
-            if not remainder:
-                break
-            raise SQLError(f"cannot tokenize near {remainder[:20]!r}")
-        position = match.end()
-        if match.lastgroup == "ident":
-            text = match.group("ident")
-            lowered = text.lower()
-            if lowered in _KEYWORDS:
-                tokens.append(Token("keyword", lowered))
-            else:
-                tokens.append(Token("ident", text))
-        elif match.lastgroup is not None:
-            tokens.append(Token(match.lastgroup, match.group(match.lastgroup)))
-    tokens.append(Token("end", ""))
+    for number, string, ident, op, punct, bad in _TOKEN_RE.findall(sql):
+        if ident:
+            tokens.append(_KEYWORD_TOKENS.get(ident.lower())
+                          or Token("ident", ident))
+        elif number:
+            tokens.append(Token("number", number))
+        elif op or punct:
+            tokens.append(_SYMBOL_TOKENS[op or punct])
+        elif string:
+            tokens.append(Token("string", string))
+        else:
+            raise SQLError(f"cannot tokenize near {_error_context(sql)!r}")
+    tokens.append(_END)
     return tokens
+
+
+def _error_context(sql: str) -> str:
+    """Up to 20 characters of ``sql`` from where tokenizing fails."""
+    bad = next(m for m in _TOKEN_RE.finditer(sql) if m.group(6))
+    return sql[bad.start(6):].strip()[:20]
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +191,23 @@ class _Parser:
 
     def expect_keyword(self, word: str) -> None:
         token = self.advance()
-        if not token.is_keyword(word):
+        if token != ("keyword", word):
             raise SQLError(f"expected {word.upper()}, got {token.text!r}")
 
     def expect_punct(self, char: str) -> None:
         token = self.advance()
-        if token.kind != "punct" or token.text != char:
+        if token != ("punct", char):
             raise SQLError(f"expected {char!r}, got {token.text!r}")
 
     def accept_keyword(self, word: str) -> bool:
-        if self.peek().is_keyword(word):
-            self.advance()
+        if self.tokens[self.position] == ("keyword", word):
+            self.position += 1
             return True
         return False
 
     def accept_punct(self, char: str) -> bool:
-        token = self.peek()
-        if token.kind == "punct" and token.text == char:
-            self.advance()
+        if self.tokens[self.position] == ("punct", char):
+            self.position += 1
             return True
         return False
 
@@ -400,35 +415,40 @@ class SQLBinder:
         return plan
 
     # -- name resolution --------------------------------------------------------
+    #
+    # Identifiers are unquoted, so they resolve case-insensitively (SQL's
+    # rule, and the plan cache's, whose key ``normalize_sql`` lowercases)
+    # to the schema's own spelling, which is what plans carry.
 
     def _check_tables(self, names: Sequence[str]) -> List[str]:
-        seen = set()
+        tables: List[str] = []
         for name in names:
-            self.schema.table(name)  # raises for unknown tables
-            if name in seen:
+            table = self.schema.resolve_table(name)  # raises for unknown
+            if table in tables:
                 raise SQLError(
                     f"table {name!r} listed twice (aliases not supported)")
-            seen.add(name)
-        return list(names)
+            tables.append(table)
+        return tables
 
     def _resolve(self, name: str, tables: Sequence[str]) -> Tuple[str, str]:
         """Resolve a possibly-qualified column against the FROM tables."""
         if "." in name:
-            table, _, column = name.partition(".")
+            qualifier, _, column = name.partition(".")
+            table = self.schema.find_table(qualifier)
             if table not in tables:
-                raise SQLError(f"table {table!r} not in FROM clause")
-            try:
-                self.schema.table(table).column(column)
-            except SchemaError as exc:
-                raise SQLError(str(exc)) from exc
-            return table, column
-        candidates = [t for t in tables if self.schema.table(t).has_column(name)]
+                raise SQLError(f"table {qualifier!r} not in FROM clause")
+            owners = self.schema.column_owners(column)
+            if table not in owners:
+                raise SQLError(f"table {table!r} has no column {column!r}")
+            return table, owners[table]
+        owners = self.schema.column_owners(name)
+        candidates = [t for t in tables if t in owners]
         if not candidates:
             raise SQLError(f"unknown column {name!r}")
         if len(candidates) > 1:
             raise SQLError(f"ambiguous column {name!r} "
                            f"(in {', '.join(candidates)})")
-        return candidates[0], name
+        return candidates[0], owners[candidates[0]]
 
     # -- condition binding ---------------------------------------------------------
 
@@ -570,8 +590,9 @@ class SQLBinder:
             return plan
         keys: List[Tuple[str, str]] = []
         for name, _descending in statement.order_by:
-            if isinstance(plan, LogicalGroupBy) and name.startswith("agg"):
-                keys.append(("#computed", name))
+            folded = name.lower()
+            if isinstance(plan, LogicalGroupBy) and folded.startswith("agg"):
+                keys.append(("#computed", folded))
             else:
                 keys.append(self._resolve(name, tables))
         if statement.limit is not None:

@@ -38,7 +38,11 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 #: On-disk layout version; content-hashed keys handle config changes.
 #: v4: cardinality memo no longer admits stale id-reuse hits, so plans
 #: (and everything downstream) can differ from v3 artifacts.
-CACHE_VERSION = "v4"
+#: v5: the pickled corpus holds ``StageRef``/``StageFlow`` as named
+#: tuples (v4 pickled them as dataclasses, which no longer unpickle) and
+#: schemas with identifier and join-edge indexes that v4 schemas lack.
+#: The artifacts' contents are unchanged.
+CACHE_VERSION = "v5"
 
 
 def fingerprint(*objects: object) -> str:

@@ -124,6 +124,40 @@ def test_repo_feature_schema_is_clean():
     assert check_feature_schema() == []
 
 
+_FEATURES_SOURCE = _ERRORS_SOURCE.parent / "core" / "features.py"
+
+
+@pytest.mark.parametrize("rule, anchor, replacement", [
+    # an extractor branch for a feature no stage declares
+    ("FS001", 'if suffix == "out_card":',
+     'if suffix == "bogus_card":\n            return None\n'
+     '        if suffix == "out_card":'),
+    # an expression-percentage key no stage declares
+    ("FS001", '"expr_other_percentage": fractions',
+     '"expr_bogus_percentage": fractions[ExpressionKind.OTHER] * scale,\n'
+     '            "expr_other_percentage": fractions'),
+    # a declared feature whose extractor branch is gone
+    ("FS002", 'if suffix == "out_card":', 'if suffix == "out_cardinality":'),
+    # declaration order drifts from the live registry
+    ("FS003", '(OperatorType.SORT, Stage.SCAN): ("in_card", "out_percentage"),',
+     '(OperatorType.SORT, Stage.SCAN): ("out_percentage", "in_card"),'),
+    # a declared (operator, stage) pair the engine never produces
+    ("FS005", '(OperatorType.UNION, Stage.SCAN): ("in_card",),',
+     '(OperatorType.UNION, Stage.PROBE): ("in_card",),'),
+    # one feature declared twice for one stage
+    ("FS006", '"n_aggregates", "n_keys"),', '"n_aggregates", "n_keys", "n_keys"),'),
+])
+def test_feature_schema_rule_fires_on_seeded_mutation(tmp_path, rule, anchor,
+                                                      replacement):
+    """Each FS rule fires on one planted defect in a copy of the real
+    featurizer, so the detector keeps reading the extractor's shape."""
+    source = _FEATURES_SOURCE.read_text()
+    assert source.count(anchor) == 1, anchor
+    mutated = tmp_path / "features.py"
+    mutated.write_text(source.replace(anchor, replacement))
+    assert rule in {f.rule for f in check_feature_schema(mutated)}
+
+
 def test_model_file_drift_detected(tmp_path):
     stale = tmp_path / "stale_model.json"
     stale.write_text(json.dumps({
@@ -191,7 +225,7 @@ def test_run_checks_repo_is_clean():
     # CI's perf gate allows 10s for the whole suite including the
     # interprocedural passes; leave headroom for slow runners here.
     assert report.elapsed_seconds < 10.0
-    assert set(report.timings) == set(report.analyzers_run)
+    assert set(report.timings) == set(report.analyzers_run) | {"call-graph"}
     assert all(seconds >= 0.0 for seconds in report.timings.values())
 
 

@@ -10,6 +10,7 @@ the engine itself satisfies every invariant.
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -156,14 +157,15 @@ _STAGE_FEATURES = {
 
 
 class FeatureRegistry:
-    def _basic_feature_values(self, suffix, start, op):
+    @staticmethod
+    def _basic_feature_extractor(suffix, op_type, stage):
         if suffix == "in_percentage":
-            return self.model.input_cardinality(op) / start
+            return lambda flow, op, start: flow.tuples_in / start
         if suffix == "right_percentage":
-            return self.model.right_cardinality(op) / start
+            return lambda flow, op, start: flow.tuples_in / start
         if suffix == "out_percentage":
-            return self.model.base_cardinality(op) / start
-        return 0.0
+            return lambda flow, op, start: flow.tuples_out / start
+        return None
 
     def _expression_percentages(self, fractions, start, scale):
         scale = scale / start
@@ -184,8 +186,11 @@ def _features(tmp_path, source):
 
 def test_pi009_percentage_without_start_division(tmp_path):
     broken = _FEATURES_CLEAN.replace(
-        'return self.model.input_cardinality(op) / start',
-        'return self.model.input_cardinality(op)')
+        'return lambda flow, op, start: flow.tuples_in / start\n'
+        '        if suffix == "right_percentage"',
+        'return lambda flow, op, start: flow.tuples_in\n'
+        '        if suffix == "right_percentage"')
+    assert broken != _FEATURES_CLEAN
     findings = _features(tmp_path, broken)
     assert {f.rule for f in findings} == {"PI009"}
     assert "in_percentage" in findings[0].message
@@ -223,6 +228,23 @@ def test_pi010_declared_class_never_emitted(tmp_path):
 
 def test_featurizer_clean_fixture(tmp_path):
     assert _features(tmp_path, _FEATURES_CLEAN) == []
+
+
+def test_pi009_fires_on_the_real_featurizer(tmp_path):
+    """PI009 reads the real extractor dispatch: dropping ``/ start``
+    from its ``in_percentage`` extractor is caught."""
+    import repro.core.features as features
+    anchor = ('if suffix == "in_percentage":\n'
+              '            return lambda flow, op, start: flow.tuples_in / start')
+    source = Path(features.__file__).read_text()
+    assert source.count(anchor) == 1
+    mutated = tmp_path / "features.py"
+    mutated.write_text(source.replace(
+        anchor, anchor.replace("flow.tuples_in / start", "flow.tuples_in")))
+    assert verify_featurization_ast(features.__file__) == []
+    findings = verify_featurization_ast(mutated)
+    assert [f.rule for f in findings] == ["PI009"]
+    assert "in_percentage" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

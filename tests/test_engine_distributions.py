@@ -165,3 +165,15 @@ def test_property_in_list_matches_per_value_reference(dist, data):
     assert dist.selectivity_in(values) == reference
     assert (dist._selectivities_eq(list(set(values)))
             == [dist.selectivity_eq(v) for v in set(values)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(DISTRIBUTIONS, st.integers(1, 2500),
+       st.lists(st.floats(-0.5, 1.5), max_size=50))
+def test_property_quantiles_match_per_value_reference(dist, spread, extra):
+    """The vectorized quantiles are bit-identical to one ``quantile``
+    call per probability: the optimizer's evenly spread key picks
+    (small-table elimination) and clamped out-of-range probabilities."""
+    probabilities = [(i + 0.5) / spread for i in range(spread)] + extra
+    assert (dist.quantiles(np.array(probabilities))
+            == [dist.quantile(p) for p in probabilities])

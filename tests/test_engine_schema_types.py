@@ -71,6 +71,13 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             self._table().column("nope")
 
+    def test_columns_differing_only_in_case_rejected(self):
+        # SQL identifiers resolve case-insensitively: both could not be
+        # addressed.
+        with pytest.raises(SchemaError):
+            TableSchema("t", [Column("a", DataType.INT),
+                              Column("A", DataType.INT)])
+
 
 class TestDatabaseSchema:
     def _schema(self):
@@ -101,6 +108,33 @@ class TestDatabaseSchema:
         a = TableSchema("a", [Column("x", DataType.INT)])
         with pytest.raises(SchemaError):
             DatabaseSchema("db", [a, a])
+
+    def test_tables_differing_only_in_case_rejected(self):
+        a = TableSchema("a", [Column("x", DataType.INT)])
+        upper = TableSchema("A", [Column("y", DataType.INT)])
+        with pytest.raises(SchemaError):
+            DatabaseSchema("db", [a, upper])
+
+    def test_identifier_lookups_are_case_insensitive(self):
+        schema = self._schema()
+        assert schema.resolve_table("A") == "a"
+        assert schema.find_table("Zzz") is None
+        with pytest.raises(SchemaError):
+            schema.resolve_table("zzz")
+        assert schema.column_owners("X") == {"a": "x"}
+        assert schema.column_owners("nope") == {}
+
+    def test_edge_between_returns_first_declared_edge(self):
+        a = TableSchema("a", [Column("x", DataType.INT),
+                              Column("z", DataType.INT)])
+        b = TableSchema("b", [Column("y", DataType.INT)])
+        schema = DatabaseSchema("db", [a, b], [
+            JoinEdge("b", "y", "a", "x", fanout=2.0),
+            JoinEdge("a", "z", "b", "y")])
+        assert schema.edge_between("a", "b") == JoinEdge("a", "x", "b", "y",
+                                                         fanout=2.0)
+        assert schema.edge_between("b", "a") == JoinEdge("b", "y", "a", "x",
+                                                         fanout=2.0)
 
     def test_bad_edge_rejected(self):
         a = TableSchema("a", [Column("x", DataType.INT)])

@@ -189,6 +189,17 @@ class TestBinder:
         with pytest.raises(SQLError):
             _bind(toy, "SELECT orders.ghost FROM orders")
 
+    def test_identifiers_resolve_case_insensitively(self, toy):
+        lower = _bind(toy, "SELECT o_status, count(*) FROM orders, customer "
+                           "WHERE orders.o_cust = c_id AND o_total <= 100 "
+                           "GROUP BY o_status ORDER BY o_status")
+        mixed = _bind(toy, "SELECT O_Status, COUNT(*) FROM ORDERS, Customer "
+                           "WHERE Orders.O_CUST = C_ID AND o_TOTAL <= 100 "
+                           "GROUP BY O_STATUS ORDER BY orders.O_status")
+        assert mixed == lower   # plans carry the schema's spelling
+        with pytest.raises(SQLError):
+            _bind(toy, "SELECT o_id FROM orders, ORDERS")
+
     def test_ambiguity_detected(self, toy):
         # o_id exists only in orders; make an ambiguous case via c_id?
         # Columns are uniquely named in the toy schema, so check the

@@ -915,3 +915,29 @@ class TestColdPath:
             warm = service.predict(sql, "toy")
             assert warm.cache_hit
             assert {r[sql] for r in results} == {warm.predicted_seconds}
+
+    def test_case_variant_answers_alike_cold_and_warm(self, toy_model,
+                                                      resolver, toy_instance):
+        """The plan-cache key lowercases identifiers (``normalize_sql``),
+        so the binder resolves them case-insensitively: a case variant
+        answers the same served cold as from the cache."""
+        sql = ("SELECT customer.c_nation, count(*) FROM orders, customer "
+               "WHERE orders.o_cust = c_id AND c_balance > 500 "
+               "GROUP BY customer.c_nation")
+        variant = ("select CUSTOMER.C_NATION, COUNT(*) FROM Orders, CUSTOMER "
+                   "WHERE ORDERS.O_Cust = C_ID AND c_Balance > 500 "
+                   "GROUP BY Customer.c_nation")
+        assert normalize_sql(variant) == normalize_sql(sql)
+        warm_service = self._service(toy_model, resolver)
+        first = warm_service.predict(sql, "toy")
+        warm = warm_service.predict(variant, "toy")
+        assert not first.cache_hit and warm.cache_hit
+        cold = self._service(toy_model, resolver).predict(variant, "toy")
+        assert not cold.cache_hit
+        assert cold.predicted_seconds == warm.predicted_seconds
+        assert cold.pipeline_seconds == warm.pipeline_seconds
+        vectors, cards = _reference_features(toy_model, toy_instance, variant)
+        ref_vectors, ref_cards = _reference_features(toy_model, toy_instance,
+                                                     sql)
+        assert np.array_equal(vectors, ref_vectors)
+        assert np.array_equal(cards, ref_cards)
