@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -163,42 +163,64 @@ class T3Model:
     def predict_raw_batch(self, X: np.ndarray) -> np.ndarray:
         if self.backend is PredictionBackend.COMPILED:
             return self._compiled.predict(X)
+        if np.ndim(X) == 2 and len(X) == 1:
+            # The scalar walk adds the trees in the same order as the
+            # vectorized one, without its NumPy calls per tree level.
+            return np.array([self._scalar.predict_one(X[0])])
         return self.booster.predict(X)
 
     # -- plan-level prediction ----------------------------------------------------
 
+    def plan_rows(self, plan: PhysicalPlan, model: CardinalityModel
+                  ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The rows the ensemble evaluates for ``plan``, with their cards.
+
+        One row per pipeline plus its input cardinality; a per-query
+        model evaluates one summed row and gets ``cards=None``. This and
+        :meth:`seconds_from_raw` are the only places that know the
+        target mode: every prediction path, offline and served, is
+        ``plan_rows`` → raw scores → ``seconds_from_raw`` → sum.
+        """
+        vectors, cards = self.registry.vectors_for_plan(plan, model)
+        if self.config.target_mode is TargetMode.PER_QUERY:
+            vectors, cards = vectors.sum(axis=0, keepdims=True), None
+        return np.ascontiguousarray(vectors, dtype=np.float64), cards
+
+    def seconds_from_raw(self, raw: np.ndarray,
+                         cards: Optional[np.ndarray]) -> np.ndarray:
+        """Seconds per evaluated row from raw (transformed-space) scores.
+
+        A per-tuple model's row is a per-tuple time, scaled by the row's
+        input cardinality (rows without cards count one tuple); a
+        per-pipeline or per-query model's row already is absolute.
+        """
+        times = inverse_transform(raw)
+        if self.config.target_mode is TargetMode.PER_TUPLE and \
+                cards is not None:
+            times *= np.maximum(cards, 1.0)
+        return times
+
     def pipeline_times_from_raw(self, raw: np.ndarray,
                                 cards: np.ndarray) -> np.ndarray:
-        """Per-pipeline times from raw (transformed-space) predictions.
-
-        Shared by :meth:`predict_pipeline_times` and the serving layer,
-        which obtains ``raw`` through the micro-batching queue.
-        """
+        """Per-pipeline times from raw (transformed-space) predictions."""
         if self.config.target_mode is TargetMode.PER_QUERY:
             raise TrainingError(
                 "per-query models do not produce pipeline times")
-        if self.config.target_mode is TargetMode.PER_TUPLE:
-            return inverse_transform(raw) * np.maximum(cards, 1.0)
-        return inverse_transform(raw)  # PER_PIPELINE: absolute times
+        return self.seconds_from_raw(raw, cards)
 
     def predict_pipeline_times(self, plan: PhysicalPlan,
                                model: CardinalityModel) -> np.ndarray:
         """Predicted execution time of each pipeline of ``plan``."""
-        vectors, cards = self.registry.vectors_for_plan(plan, model)
-        if self.config.target_mode is TargetMode.PER_QUERY:
-            raise TrainingError(
-                "per-query models do not produce pipeline times")
-        raw = self.predict_raw_batch(np.ascontiguousarray(vectors))
-        return self.pipeline_times_from_raw(raw, cards)
+        rows, cards = self.plan_rows(plan, model)
+        return self.pipeline_times_from_raw(self.predict_raw_batch(rows),
+                                            cards)
 
     def predict_query(self, plan: PhysicalPlan,
                       model: CardinalityModel) -> float:
         """Predicted total execution time of a query (Figure 2)."""
-        if self.config.target_mode is TargetMode.PER_QUERY:
-            vectors, _ = self.registry.vectors_for_plan(plan, model)
-            return float(inverse_transform(
-                self.predict_raw_one(vectors.sum(axis=0))))
-        return float(self.predict_pipeline_times(plan, model).sum())
+        rows, cards = self.plan_rows(plan, model)
+        return float(self.seconds_from_raw(self.predict_raw_batch(rows),
+                                           cards).sum())
 
     def predict_benchmarked(self, query: BenchmarkedQuery,
                             kind: Optional[CardinalityKind] = None,
@@ -215,13 +237,9 @@ class T3Model:
         """Predicted total time per query of a featurized dataset (batch)."""
         if self.config.target_mode is TargetMode.PER_QUERY:
             X, _ = training_matrices(dataset, TargetMode.PER_QUERY)
-            return inverse_transform(self.predict_raw_batch(X))
-        raw = self.predict_raw_batch(dataset.X)
-        if self.config.target_mode is TargetMode.PER_TUPLE:
-            pipeline_times = (inverse_transform(raw)
-                              * np.maximum(dataset.input_cards, 1.0))
-        else:
-            pipeline_times = inverse_transform(raw)
+            return self.seconds_from_raw(self.predict_raw_batch(X), None)
+        pipeline_times = self.seconds_from_raw(
+            self.predict_raw_batch(dataset.X), dataset.input_cards)
         totals = np.zeros(dataset.n_queries)
         np.add.at(totals, dataset.query_index, pipeline_times)
         return totals

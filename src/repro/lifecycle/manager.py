@@ -42,10 +42,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.ablation import TargetMode
-from ..core.targets import inverse_transform
 from ..errors import ConfigurationError, TrainingError
 from ..faults import BreakerState
+from ..metrics import q_error
 from ..rng import DEFAULT_SEED
 from ..serving.registry import ModelEntry
 from ..serving.service import PredictionService
@@ -55,9 +54,6 @@ from .retrain import RetrainConfig, RetrainJob
 __all__ = ["LifecycleConfig", "LifecycleManager", "LifecyclePhase"]
 
 _LOG = logging.getLogger(__name__)
-
-#: Floor for q-error ratios so a zero observed time cannot divide out.
-_EPS = 1e-9
 
 
 class LifecyclePhase(Enum):
@@ -125,17 +121,11 @@ class _PairedError:
         self.active_sum = 0.0
         self.candidate_sum = 0.0
 
-    @staticmethod
-    def qerror(predicted: float, observed: float) -> float:
-        predicted = max(float(predicted), _EPS)
-        observed = max(float(observed), _EPS)
-        return max(predicted / observed, observed / predicted)
-
     def add(self, active_pred: float, candidate_pred: float,
             observed: float) -> None:
         self.samples += 1
-        self.active_sum += self.qerror(active_pred, observed)
-        self.candidate_sum += self.qerror(candidate_pred, observed)
+        self.active_sum += q_error(active_pred, observed)
+        self.candidate_sum += q_error(candidate_pred, observed)
 
     @property
     def active_mean(self) -> float:
@@ -311,11 +301,7 @@ class LifecycleManager:
         model = self._candidate.model
         raw = model.predict_raw_batch(
             np.ascontiguousarray(record.vectors, dtype=np.float64))
-        if model.config.target_mode is TargetMode.PER_QUERY:
-            return float(inverse_transform(raw)[0])
-        cards = (record.cards if record.cards is not None
-                 else np.ones(len(record.vectors)))
-        return float(model.pipeline_times_from_raw(raw, cards).sum())
+        return float(model.seconds_from_raw(raw, record.cards).sum())
 
     def _score_candidate(self, record: ObservationRecord) -> None:
         try:

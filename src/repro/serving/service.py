@@ -9,7 +9,9 @@ cacheable:
    input cardinalities,
 3. **infer** — raw tree evaluation through the micro-batching queue
    (one native call for many concurrent requests),
-4. combine — tuple-centric inverse transform × cardinalities, summed.
+4. combine — raw scores to seconds per row
+   (:meth:`~repro.core.model.T3Model.seconds_from_raw`, which alone
+   knows the target mode), summed per statement.
 
 Stages 1–2 are skipped entirely on a plan-cache hit, which is what
 makes the service's steady-state latency approach the bare compiled
@@ -50,8 +52,6 @@ from ..errors import (
     SchemaError,
     ServiceClosedError,
 )
-from ..core.ablation import TargetMode
-from ..core.targets import inverse_transform
 from ..datagen.instances import Instance, get_instance
 from ..engine.cardinality import ExactCardinalityModel
 from ..engine.optimizer import Optimizer
@@ -66,6 +66,7 @@ from ..faults import (
     get_injector,
     install_plan,
 )
+from ..metrics import q_error
 from ..rng import DEFAULT_SEED
 from ..treecomp.compiler import compiler_info
 from .batching import MicroBatcher, Pending
@@ -116,13 +117,10 @@ class ServingConfig:
     #: Queue-depth fraction above which new requests are load-shed.
     shed_watermark_fraction: float = 0.9
     #: Per-entry circuit breaker (trips the registered backend away
-    #: to the interpreted/analytic fallbacks).
-    breaker_window: int = 20
+    #: to the interpreted/analytic fallbacks); the rest of its settings
+    #: are :class:`~repro.faults.CircuitBreaker`'s defaults.
     breaker_min_samples: int = 5
-    breaker_failure_threshold: float = 0.5
     breaker_backoff_base_s: float = 0.5
-    breaker_backoff_cap_s: float = 30.0
-    breaker_half_open_probes: int = 2
     #: Seed for deterministic breaker jitter and fault arming.
     fault_seed: int = DEFAULT_SEED
     #: Installed on the global injector at service construction
@@ -316,36 +314,10 @@ class PredictionService:
         wins over ``timeout`` (seconds from now) and propagates through
         every stage — a request that cannot finish in time is shed with
         :class:`~repro.errors.DeadlineExceeded`, never evaluated late.
+        A batch of one: :meth:`predict_many` answers it.
         """
-        with self._pending:
-            if self._closed.is_set():
-                raise ServiceClosedError("service is closed")
-            started = time.perf_counter()
-            deadline = self._resolve_deadline(timeout, deadline)
-            try:
-                entry = self._resolve_entry(model, version)
-                vectors, cards, parse_s, featurize_s, hit = \
-                    self._plan_features(entry, instance, sql)
-                infer_started = time.perf_counter()
-                total, pipeline_seconds, fallback = self._predict_times(
-                    entry, vectors, cards, deadline)
-                infer_s = time.perf_counter() - infer_started
-            except Exception as exc:
-                self._m_errors.inc()
-                self._note_shed(exc)
-                raise
-            total_s = time.perf_counter() - started
-            self._m_requests.inc()
-            self._observe_front_stages(parse_s, featurize_s, hit)
-            self._m_infer.observe(infer_s)
-            self._m_total.observe(total_s)
-            return PredictionResult(
-                predicted_seconds=total, pipeline_seconds=pipeline_seconds,
-                model_name=entry.name, model_version=entry.version,
-                backend=entry.backend, cache_hit=hit,
-                parse_seconds=parse_s, featurize_seconds=featurize_s,
-                infer_seconds=infer_s, total_seconds=total_s,
-                degraded=fallback is not None, fallback=fallback)
+        return self.predict_many([(sql, instance)], model, version,
+                                 timeout, deadline)[0]
 
     def predict_many(self, requests: Sequence[Tuple[str, str]],
                      model: Optional[str] = None,
@@ -368,55 +340,72 @@ class PredictionService:
                 raise ServiceClosedError("service is closed")
             if not requests:
                 return []
-            started = time.perf_counter()
             deadline = self._resolve_deadline(timeout, deadline)
-            try:
-                entry = self._resolve_entry(model, version)
-                fronts = [self._plan_features(entry, instance, sql)
-                          for sql, instance in requests]
-                infer_started = time.perf_counter()
-                stacked = (fronts[0][0] if len(fronts) == 1
-                           else np.vstack([front[0] for front in fronts]))
-                raw, fallback = self._infer_raw(entry, stacked, deadline)
-                infer_s = time.perf_counter() - infer_started
-            except Exception as exc:
-                self._m_errors.inc()
-                self._note_shed(exc)
-                raise
-            results = []
-            offset = 0
-            per_query = entry.model.config.target_mode is TargetMode.PER_QUERY
-            for vectors, cards, parse_s, featurize_s, hit in fronts:
-                rows = len(vectors)
-                if raw is None:   # analytic rung: no raw scores exist
-                    times = self._analytic.pipeline_times(vectors, cards)
-                    pipeline_seconds: Tuple[float, ...] = \
-                        () if per_query else tuple(float(t) for t in times)
-                    total = float(times.sum())
-                else:
-                    slice_raw = raw[offset:offset + rows]
-                    if per_query:
-                        total = float(inverse_transform(slice_raw)[0])
-                        pipeline_seconds = ()
-                    else:
-                        times = entry.model.pipeline_times_from_raw(
-                            slice_raw, cards)
-                        pipeline_seconds = tuple(float(t) for t in times)
-                        total = float(times.sum())
-                offset += rows
-                self._m_requests.inc()
+            _, _, results = self._answer(
+                lambda: self._resolve_entry(model, version), requests,
+                deadline, record=True)
+            return results
+
+    def _answer(self, resolve: Callable[[], ModelEntry],
+                requests: Sequence[Tuple[str, str]],
+                deadline: Optional[float], record: bool
+                ) -> Tuple[ModelEntry, List[tuple], List[PredictionResult]]:
+        """The one answer path: resolve the entry, run the cached front
+        half per statement, evaluate every row through the degradation
+        chain in one call, and convert raw scores to seconds once for
+        the batch.
+
+        Returns ``(entry, fronts, results)``; ``fronts`` are the
+        :meth:`_plan_features` tuples. ``record`` adds the request and
+        stage metrics (:meth:`observe` answers without them). Each
+        total is its own statement's slice ``.sum()``, so a statement
+        answers alike alone, in a batch and through
+        :meth:`T3Model.predict_query <repro.core.model.T3Model.predict_query>`.
+        """
+        started = time.perf_counter()
+        try:
+            entry = resolve()
+            fronts = [self._plan_features(entry, instance, sql)
+                      for sql, instance in requests]
+            infer_started = time.perf_counter()
+            if len(fronts) == 1:
+                stacked, stacked_cards = fronts[0][0], fronts[0][1]
+            else:
+                stacked = np.vstack([front[0] for front in fronts])
+                stacked_cards = (
+                    None if fronts[0][1] is None
+                    else np.concatenate([front[1] for front in fronts]))
+            raw, fallback = self._infer_raw(entry, stacked, deadline)
+            seconds = (self._analytic.pipeline_times(stacked, stacked_cards)
+                       if raw is None   # analytic rung: no raw scores
+                       else entry.model.seconds_from_raw(raw, stacked_cards))
+            infer_s = time.perf_counter() - infer_started
+        except Exception as exc:
+            self._m_errors.inc()
+            self._note_shed(exc)
+            raise
+        results = []
+        offset = 0
+        for vectors, cards, parse_s, featurize_s, hit in fronts:
+            times = seconds[offset:offset + len(vectors)]
+            offset += len(vectors)
+            if record:
                 self._observe_front_stages(parse_s, featurize_s, hit)
-                results.append(PredictionResult(
-                    predicted_seconds=total, pipeline_seconds=pipeline_seconds,
-                    model_name=entry.name, model_version=entry.version,
-                    backend=entry.backend, cache_hit=hit,
-                    parse_seconds=parse_s, featurize_seconds=featurize_s,
-                    infer_seconds=infer_s,
-                    total_seconds=time.perf_counter() - started,
-                    degraded=fallback is not None, fallback=fallback))
+            results.append(PredictionResult(
+                predicted_seconds=float(times.sum()),
+                pipeline_seconds=(() if cards is None
+                                  else tuple(times.tolist())),
+                model_name=entry.name, model_version=entry.version,
+                backend=entry.backend, cache_hit=hit,
+                parse_seconds=parse_s, featurize_seconds=featurize_s,
+                infer_seconds=infer_s,
+                total_seconds=time.perf_counter() - started,
+                degraded=fallback is not None, fallback=fallback))
+        if record:
+            self._m_requests.inc(len(results))
             self._m_infer.observe(infer_s)
             self._m_total.observe(time.perf_counter() - started)
-            return results
+        return entry, fronts, results
 
     def _observe_front_stages(self, parse_s: float, featurize_s: float,
                               hit: bool) -> None:
@@ -478,24 +467,18 @@ class PredictionService:
             raise ConfigurationError(
                 "observed_seconds must be finite and non-negative, "
                 f"got {observed_seconds!r}")
-        try:
-            entry = self.registry.get(model)
-            vectors, cards, _, _, _ = self._plan_features(
-                entry, instance, sql)
-            total, pipeline_seconds, fallback = self._predict_times(
-                entry, vectors, cards,
-                self._resolve_deadline(None, None))
-        except Exception as exc:
-            self._m_errors.inc()
-            self._note_shed(exc)
-            raise
+        entry, fronts, (result,) = self._answer(
+            lambda: self.registry.get(model), [(sql, instance)],
+            self._resolve_deadline(None, None), record=False)
+        vectors, cards = fronts[0][:2]
+        total = result.predicted_seconds
         sequence = None
         lifecycle = self.lifecycle
         if lifecycle is not None:
             sequence = lifecycle.observe_served(
                 instance=instance, vectors=vectors, cards=cards,
                 predicted_seconds=total,
-                pipeline_seconds=pipeline_seconds,
+                pipeline_seconds=result.pipeline_seconds,
                 observed_seconds=observed, model_key=entry.key)
         self._m_observations.inc()
         return {
@@ -504,9 +487,8 @@ class PredictionService:
             "version": entry.version,
             "predicted_seconds": total,
             "observed_seconds": observed,
-            "qerror": (max(max(total, 1e-9) / max(observed, 1e-9),
-                           max(observed, 1e-9) / max(total, 1e-9))),
-            "degraded": fallback is not None,
+            "qerror": q_error(total, observed),
+            "degraded": result.degraded,
             "lifecycle": (None if lifecycle is None
                           else lifecycle.phase.value),
         }
@@ -540,25 +522,6 @@ class PredictionService:
             lambda key: key[1] == instance)
 
     # -- the degradation chain --------------------------------------------
-
-    def _predict_times(self, entry: ModelEntry, vectors: np.ndarray,
-                       cards: Optional[np.ndarray],
-                       deadline: Optional[float]
-                       ) -> Tuple[float, Tuple[float, ...], Optional[str]]:
-        """(total, pipeline times, fallback) via the degradation chain."""
-        raw, fallback = self._infer_raw(entry, vectors, deadline)
-        if raw is None:   # analytic rung
-            times = self._analytic.pipeline_times(vectors, cards)
-            per_query = (entry.model.config.target_mode
-                         is TargetMode.PER_QUERY)
-            pipeline_seconds: Tuple[float, ...] = \
-                () if per_query else tuple(float(t) for t in times)
-            return float(times.sum()), pipeline_seconds, fallback
-        if entry.model.config.target_mode is TargetMode.PER_QUERY:
-            return float(inverse_transform(raw)[0]), (), fallback
-        times = entry.model.pipeline_times_from_raw(raw, cards)
-        return (float(times.sum()),
-                tuple(float(t) for t in times), fallback)
 
     def _infer_raw(self, entry: ModelEntry, stacked: np.ndarray,
                    deadline: Optional[float]
@@ -675,12 +638,8 @@ class PredictionService:
         featurize_started = time.perf_counter()
         # One cardinality model per miss: its memo pins the plan's
         # operators and dies with this request.
-        vectors, cards = entry.model.registry.vectors_for_plan(
+        vectors, cards = entry.model.plan_rows(
             plan, ExactCardinalityModel(inst.catalog))
-        if entry.model.config.target_mode is TargetMode.PER_QUERY:
-            vectors = vectors.sum(axis=0, keepdims=True)
-            cards = None
-        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         featurize_s = time.perf_counter() - featurize_started
         self._plan_cache.put(key, (vectors, cards))
         return vectors, cards, parse_s, featurize_s, False
@@ -719,12 +678,8 @@ class PredictionService:
                 c = self.config
                 breaker = CircuitBreaker(
                     entry.key,
-                    window=c.breaker_window,
                     min_samples=c.breaker_min_samples,
-                    failure_threshold=c.breaker_failure_threshold,
                     backoff_base_s=c.breaker_backoff_base_s,
-                    backoff_cap_s=c.breaker_backoff_cap_s,
-                    half_open_probes=c.breaker_half_open_probes,
                     seed=c.fault_seed)
                 self._breakers[entry.key] = breaker
             return breaker

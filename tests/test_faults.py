@@ -43,6 +43,7 @@ from repro.serving import (
     PredictionService,
     ServingConfig,
     ServingServer,
+    normalize_sql,
 )
 from repro.trees.boosting import BoostingParams
 
@@ -623,6 +624,29 @@ class TestDegradationChain:
         assert result.fallback == "analytic"
         assert np.isfinite(result.predicted_seconds)
         assert result.predicted_seconds >= 0.0
+        # A batch on the last rung: each statement's answer is the
+        # baseline over its own rows, whatever its neighbours' shapes.
+        statements = [
+            SQL,
+            "SELECT count(*) FROM orders, customer "
+            "WHERE o_cust = c_id AND o_total <= 300",
+            "SELECT c_nation, count(*) FROM orders, customer "
+            "WHERE o_cust = c_id AND c_balance > 100 GROUP BY c_nation",
+            "SELECT count(*) FROM customer",
+        ]
+        results = service.predict_many([(sql, "toy") for sql in statements])
+        key = service.registry.get("toy-model").key
+        pipeline_counts = set()
+        for sql, result in zip(statements, results):
+            assert result.degraded is True
+            assert result.fallback == "analytic"
+            vectors, cards = service._plan_cache.get(
+                (key, "toy", normalize_sql(sql)))
+            pipeline_counts.add(len(vectors))
+            assert result.predicted_seconds == \
+                AnalyticBaseline().total_time(vectors, cards)
+            assert len(result.pipeline_seconds) == len(vectors)
+        assert len(pipeline_counts) > 1
 
     def test_degraded_sequence_replays_bit_identically(self, toy_model,
                                                        resolver):

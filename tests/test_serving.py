@@ -17,6 +17,7 @@ from repro.errors import (
     SchemaError,
     ServingError,
 )
+from repro.core.ablation import TargetMode
 from repro.core.model import T3Config, T3Model
 from repro.engine.cardinality import ExactCardinalityModel
 from repro.engine.optimizer import Optimizer
@@ -47,15 +48,32 @@ def toy_instance():
 
 
 @pytest.fixture(scope="module")
-def toy_model(toy_instance):
+def toy_workload(toy_instance):
     from repro.datagen.workload import WorkloadBuilder, WorkloadConfig
-    workload = WorkloadBuilder(
+    return WorkloadBuilder(
         toy_instance, WorkloadConfig(queries_per_structure=2,
                                      include_fixed_benchmarks=False)).build()
+
+
+def _train_toy(workload, target_mode=TargetMode.PER_TUPLE) -> T3Model:
     return T3Model.train(workload, T3Config(
         boosting=BoostingParams(n_rounds=15, objective="mape",
                                 validation_fraction=0.2),
-        compile_to_native=True))
+        target_mode=target_mode, compile_to_native=True))
+
+
+@pytest.fixture(scope="module")
+def toy_model(toy_workload):
+    return _train_toy(toy_workload)
+
+
+@pytest.fixture(scope="module")
+def mode_models(toy_model, toy_workload):
+    """One toy model per target mode (the per-tuple one is ``toy_model``)."""
+    models = {mode: _train_toy(toy_workload, mode) for mode in TargetMode
+              if mode is not TargetMode.PER_TUPLE}
+    models[TargetMode.PER_TUPLE] = toy_model
+    return models
 
 
 @pytest.fixture()
@@ -473,17 +491,49 @@ class TestModelRegistry:
 
 
 class TestPredictionService:
-    def test_predict_matches_offline_model(self, service, toy_model,
-                                           toy_instance):
-        result = service.predict(SQL, "toy")
-        logical = parse_sql(SQL, toy_instance.schema, toy_instance.catalog)
-        plan = Optimizer(toy_instance.schema,
-                         toy_instance.catalog).optimize(logical, "q")
-        expected = toy_model.predict_query(
-            plan, ExactCardinalityModel(toy_instance.catalog))
-        assert result.predicted_seconds == pytest.approx(expected, rel=1e-9)
-        assert result.predicted_seconds == pytest.approx(
-            sum(result.pipeline_seconds), rel=1e-9)
+    @pytest.mark.parametrize("mode", list(TargetMode),
+                             ids=lambda mode: mode.value)
+    def test_predict_matches_offline_model(self, mode, mode_models,
+                                           resolver, toy_instance):
+        """Every target mode answers alike through ``predict`` (cold and
+        warm), a ``predict_many`` mixing cached and new statements, and
+        ``observe``: each equals the offline ``predict_query``."""
+        model = mode_models[mode]
+        registry = ModelRegistry()
+        registry.register(model, "m")
+        service = PredictionService(
+            registry, ServingConfig(plan_cache_size=16, batch_wait_s=0.001),
+            instance_resolver=resolver)
+        statements = [SQL] + _statements(4)
+
+        def offline(sql):
+            logical = parse_sql(sql, toy_instance.schema,
+                                toy_instance.catalog)
+            plan = Optimizer(toy_instance.schema,
+                             toy_instance.catalog).optimize(logical, "q")
+            return model.predict_query(
+                plan, ExactCardinalityModel(toy_instance.catalog))
+
+        cold = service.predict(SQL, "toy")
+        warm = service.predict(SQL, "toy")
+        assert not cold.cache_hit and warm.cache_hit
+        batch = service.predict_many([(sql, "toy") for sql in statements])
+        assert [r.cache_hit for r in batch] == [True] + [False] * 4
+        answered = [(SQL, cold), (SQL, warm)] + list(zip(statements, batch))
+        for sql, result in answered:
+            assert result.predicted_seconds == pytest.approx(
+                offline(sql), rel=1e-9), sql
+            if mode is TargetMode.PER_QUERY:
+                assert result.pipeline_seconds == ()
+            else:
+                assert len(result.pipeline_seconds) >= 1
+                assert result.predicted_seconds == pytest.approx(
+                    sum(result.pipeline_seconds), rel=1e-9)
+        for sql in (statements[2], "SELECT count(*) FROM customer"):
+            echo = service.observe(sql, "toy", 0.5)
+            assert echo["predicted_seconds"] == pytest.approx(
+                offline(sql), rel=1e-9), sql
+            assert echo["degraded"] is False
 
     def test_cache_hit_skips_parse_and_featurize(self, service):
         cold = service.predict(SQL, "toy")
