@@ -36,6 +36,9 @@ class ExpressionKind(Enum):
     LIKE = "like"
     OTHER = "other"
 
+    #: C-level identity hash, as for :class:`repro.engine.stages.Stage`.
+    __hash__ = object.__hash__
+
 
 class ComparisonOp(Enum):
     EQ = "="

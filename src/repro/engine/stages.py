@@ -25,6 +25,12 @@ class Stage(Enum):
     SCAN = "Scan"
     PASS_THROUGH = "PassThrough"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ``==``. It runs in C; ``Enum.__hash__`` is a Python
+    # call on every dict or set lookup of the featurize path. Nothing
+    # iterates a set of members, so no order depends on the hash.
+    __hash__ = object.__hash__
+
 
 class OperatorType(Enum):
     """The 19 physical operators of the engine."""
@@ -48,6 +54,8 @@ class OperatorType(Enum):
     MATERIALIZE = "Materialize"
     UNION = "Union"
     ASSERT_SINGLE = "AssertSingle"
+
+    __hash__ = object.__hash__      # C-level, as for :class:`Stage`
 
 
 #: Stage structure of every operator. Binary operators list BUILD before

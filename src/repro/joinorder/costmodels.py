@@ -35,11 +35,13 @@ from .joingraph import Relation
 
 @dataclass
 class DPState:
-    """Cost-model-specific state carried in each DP table entry.
+    """The cost-model state of one DP entry, as a single object.
 
     ``comparison_cost`` orders candidate plans. The T3 model
     additionally carries the open pipeline's feature vector and the cost
-    of all already-completed pipelines.
+    of all already-completed pipelines. The level loop keeps the same
+    fields per entry id in parallel arrays (:class:`T3JoinCost`); this
+    form is what a one-combination-at-a-time reference costs with.
     """
 
     comparison_cost: float
@@ -52,21 +54,30 @@ class JoinCostModel:
     """Interface consumed by DPsize: the cost model is called once per
     DP level, never once per combination.
 
-    ``combine`` receives every candidate ``(left, right)`` pair of one
-    level as parallel sequences and returns one :class:`DPState` per
-    pair, in the same order.
+    DP entries are integer ids. :meth:`leaves` starts a run and makes
+    the ``n`` leaves ids ``0..n-1`` in relation order; every later id is
+    a subset's winner, numbered in the order :meth:`keep` admits them.
+    The cost model keeps its per-entry state under those ids.
     """
 
     #: Number of model invocations made so far (Table 5's "Model Calls").
     #: Counts rows, so batching a level leaves it unchanged.
     model_calls: int = 0
 
-    def leaves(self, relations: Sequence[Relation]) -> List[DPState]:
+    def leaves(self, relations: Sequence[Relation]) -> List[float]:
+        """Start a run; the comparison cost of each leaf entry."""
         raise NotImplementedError
 
-    def combine(self, lefts: Sequence[DPState], rights: Sequence[DPState],
+    def combine(self, lefts: Sequence[int], rights: Sequence[int],
                 left_cards: Sequence[float], right_cards: Sequence[float],
-                out_cards: Sequence[float]) -> List[DPState]:
+                out_cards: Sequence[float]) -> List[float]:
+        """The comparison cost of every candidate ``lefts[i] join
+        rights[i]`` of one level (entry ids), in candidate order."""
+        raise NotImplementedError
+
+    def keep(self, winners: Sequence[int]) -> None:
+        """Store the state of the last :meth:`combine`'s candidates
+        ``winners`` (positions in that call) as the next entry ids."""
         raise NotImplementedError
 
 
@@ -75,17 +86,26 @@ class CoutJoinCost(JoinCostModel):
 
     def __init__(self):
         self.model_calls = 0
+        self._costs: List[float] = []
+        self._level: List[float] = []
 
-    def leaves(self, relations: Sequence[Relation]) -> List[DPState]:
-        return [DPState(comparison_cost=0.0) for _ in relations]
+    def leaves(self, relations: Sequence[Relation]) -> List[float]:
+        self._costs = [0.0] * len(relations)
+        return list(self._costs)
 
-    def combine(self, lefts: Sequence[DPState], rights: Sequence[DPState],
+    def combine(self, lefts: Sequence[int], rights: Sequence[int],
                 left_cards: Sequence[float], right_cards: Sequence[float],
-                out_cards: Sequence[float]) -> List[DPState]:
+                out_cards: Sequence[float]) -> List[float]:
         self.model_calls += len(out_cards)
-        return [DPState(comparison_cost=out_card + left.comparison_cost
-                        + right.comparison_cost)
-                for left, right, out_card in zip(lefts, rights, out_cards)]
+        costs = self._costs
+        self._level = [out_card + costs[left] + costs[right]
+                       for left, right, out_card
+                       in zip(lefts, rights, out_cards)]
+        return self._level
+
+    def keep(self, winners: Sequence[int]) -> None:
+        level = self._level
+        self._costs.extend([level[k] for k in winners])
 
 
 class T3JoinCost(JoinCostModel):
@@ -100,11 +120,14 @@ class T3JoinCost(JoinCostModel):
        stays open (model row #2 estimates its running cost for plan
        comparison).
 
-    :meth:`combine` stacks the build rows and then the probe rows of a
-    whole level into one ``(2k, n_features)`` matrix and evaluates it
-    with a single model call; the column updates and the cost sums do
-    the same floating-point operations, in the same order, as costing
-    each pair on its own.
+    A run's per-entry state is one open-vector matrix plus the completed
+    cost and the open pipeline's start cardinality of each entry, all
+    indexed by entry id. :meth:`combine` gathers a whole level's build
+    rows and then its probe rows with one ``take`` into a ``(2k,
+    n_features)`` matrix and evaluates it with a single model call;
+    :meth:`keep` stores the probe rows of the subsets' winners only. The
+    column updates and the cost sums do the same floating-point
+    operations, in the same order, as costing each pair on its own.
     """
 
     def __init__(self, predict_raw_one,
@@ -133,6 +156,11 @@ class T3JoinCost(JoinCostModel):
         self.catalog = catalog
         self._exact = ExactCardinalityModel(catalog) if catalog else None
         self.model_calls = 0
+        self._open = np.empty((0, self.registry.n_features))
+        self._done = np.empty(0)
+        self._start = np.empty(0)
+        self._size = 0
+        self._level = None
         index = self.registry.index_of
         self._scan_count = index("TableScan_Scan_count")
         self._scan_card = index("TableScan_Scan_in_card")
@@ -155,15 +183,16 @@ class T3JoinCost(JoinCostModel):
         self.model_calls += len(X)
         return inverse_transform(self._predict_rows(X)) * np.maximum(starts, 1.0)
 
-    def leaves(self, relations: Sequence[Relation]) -> List[DPState]:
-        X = np.array([self._leaf_vector(relation) for relation in relations])
-        starts = np.array([relation.base_rows for relation in relations],
-                          dtype=np.float64)
-        open_estimates = self._pipeline_times(X, starts)
-        return [DPState(comparison_cost=estimate, completed_cost=0.0,
-                        open_vector=vector, open_start=relation.base_rows)
-                for estimate, vector, relation
-                in zip(open_estimates.tolist(), X, relations)]
+    def leaves(self, relations: Sequence[Relation]) -> List[float]:
+        n = len(relations)
+        self._open = np.empty((max(4 * n, 64), self.registry.n_features))
+        self._done = np.zeros(len(self._open))
+        self._start = np.empty(len(self._open))
+        for i, relation in enumerate(relations):
+            self._open[i] = self._leaf_vector(relation)
+            self._start[i] = relation.base_rows
+        self._size = n
+        return self._pipeline_times(self._open[:n], self._start[:n]).tolist()
 
     def _leaf_vector(self, relation: Relation) -> np.ndarray:
         if self._exact is not None:
@@ -188,18 +217,18 @@ class T3JoinCost(JoinCostModel):
         vector[self._scan_cmp] = float(len(relation.scan.predicates))
         return vector
 
-    def combine(self, lefts: Sequence[DPState], rights: Sequence[DPState],
+    def combine(self, lefts: Sequence[int], rights: Sequence[int],
                 left_cards: Sequence[float], right_cards: Sequence[float],
-                out_cards: Sequence[float]) -> List[DPState]:
+                out_cards: Sequence[float]) -> List[float]:
         k = len(lefts)
-        left_cards = np.asarray(left_cards, dtype=np.float64)
-        left_starts = np.array([s.open_start for s in lefts], dtype=np.float64)
-        right_starts = np.array([s.open_start for s in rights],
-                                dtype=np.float64)
+        ids = np.array([*lefts, *rights], dtype=np.intp)
         # Rows 0..k-1 close each left subtree's pipeline with a build;
         # rows k..2k-1 extend each right subtree's open pipeline by a probe.
-        X = np.array([s.open_vector for s in lefts]
-                     + [s.open_vector for s in rights])
+        X = self._open.take(ids, axis=0)
+        starts = self._start.take(ids)
+        done = self._done.take(ids)
+        left_cards = np.asarray(left_cards, dtype=np.float64)
+        left_starts, right_starts = starts[:k], starts[k:]
         build, probe = X[:k], X[k:]
         build[:, self._build_count] += 1.0
         build[:, self._build_card] += left_cards
@@ -213,14 +242,29 @@ class T3JoinCost(JoinCostModel):
             np.asarray(right_cards, dtype=np.float64) / right_base)
         probe[:, self._probe_out] += (
             np.asarray(out_cards, dtype=np.float64) / right_base)
-        times = self._pipeline_times(X, np.concatenate([left_starts,
-                                                        right_starts]))
+        times = self._pipeline_times(X, starts)
 
-        completed = (np.array([s.completed_cost for s in lefts])
-                     + np.array([s.completed_cost for s in rights])
-                     + times[:k])
-        comparison = completed + times[k:]
-        return [DPState(comparison_cost=cost, completed_cost=done,
-                        open_vector=vector, open_start=right.open_start)
-                for cost, done, vector, right
-                in zip(comparison.tolist(), completed.tolist(), probe, rights)]
+        completed = done[:k] + done[k:] + times[:k]
+        self._level = (probe, completed, right_starts)
+        return (completed + times[k:]).tolist()
+
+    def keep(self, winners: Sequence[int]) -> None:
+        probe, completed, starts = self._level
+        chosen = np.array(winners, dtype=np.intp)
+        first, end = self._size, self._size + len(chosen)
+        if end > len(self._done):
+            capacity = max(end, 2 * len(self._done))
+            self._open, self._done, self._start = (
+                _grown(array, capacity, first)
+                for array in (self._open, self._done, self._start))
+        probe.take(chosen, axis=0, out=self._open[first:end])
+        completed.take(chosen, out=self._done[first:end])
+        starts.take(chosen, out=self._start[first:end])
+        self._size = end
+
+
+def _grown(array: np.ndarray, capacity: int, used: int) -> np.ndarray:
+    """``array`` reallocated to ``capacity`` rows, its first ``used`` kept."""
+    grown = np.empty((capacity,) + array.shape[1:])
+    grown[:used] = array[:used]
+    return grown

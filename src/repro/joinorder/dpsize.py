@@ -14,18 +14,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
 from ..errors import PlanError
-from .costmodels import DPState, JoinCostModel
+from .costmodels import JoinCostModel
 from .joingraph import JoinGraph
 
 #: A join tree: either a relation index (leaf) or a (left, right) pair.
 JoinTree = Union[int, Tuple["JoinTree", "JoinTree"]]
-
-
-@dataclass
-class _Entry:
-    tree: JoinTree
-    state: DPState
-    cardinality: float
 
 
 @dataclass
@@ -48,63 +41,73 @@ def dpsize(graph: JoinGraph, cost_model: JoinCostModel) -> DPResult:
     start_time = time.perf_counter()
     calls_before = cost_model.model_calls
 
-    table: Dict[int, _Entry] = {}
+    # DP entries are ids into these parallel lists; the cost model keeps
+    # its own per-entry state under the same ids. ``hoods`` holds each
+    # entry's neighbourhood: the relations outside it with an edge into
+    # it, so a connectivity test is one AND.
+    bits = graph.neighbour_bits()
+    masks = [1 << relation.index for relation in graph.relations]
+    hoods = [bits[relation.index] & ~mask
+             for relation, mask in zip(graph.relations, masks)]
+    trees: List[JoinTree] = [relation.index for relation in graph.relations]
+    cards = [relation.cardinality for relation in graph.relations]
+    costs = cost_model.leaves(graph.relations)
     by_size: List[List[int]] = [[] for _ in range(n + 1)]
-    for relation, state in zip(graph.relations,
-                               cost_model.leaves(graph.relations)):
-        mask = 1 << relation.index
-        table[mask] = _Entry(relation.index, state, relation.cardinality)
-        by_size[1].append(mask)
+    by_size[1] = list(range(n))
 
     # Ordered pairs: (T1, T2) and (T2, T1) are distinct candidates, as
     # the left subtree builds and the right probes — cost models like T3
     # are orientation-sensitive (C_out is symmetric and unaffected).
     for size in range(2, n + 1):
         # Level ``size`` only reads entries of smaller sizes, so all of
-        # its candidates are enumerated first, costed in one cost-model
-        # call, and then kept first-strictly-cheaper in enumeration order.
-        lefts: List[_Entry] = []
-        rights: List[_Entry] = []
-        masks: List[int] = []
+        # its candidates are enumerated first and costed in one
+        # cost-model call.
+        lefts: List[int] = []
+        rights: List[int] = []
         for left_size in range(1, size):
-            right_size = size - left_size
-            for left_mask in by_size[left_size]:
-                for right_mask in by_size[right_size]:
-                    if left_mask & right_mask:
-                        continue
-                    if not graph.connected(left_mask, right_mask):
-                        continue
-                    lefts.append(table[left_mask])
-                    rights.append(table[right_mask])
-                    masks.append(left_mask | right_mask)
-        if not masks:
+            right_entries = [(right, masks[right])
+                             for right in by_size[size - left_size]]
+            for left in by_size[left_size]:
+                left_mask, hood = masks[left], hoods[left]
+                matched = [right for right, right_mask in right_entries
+                           if right_mask & hood and not right_mask & left_mask]
+                lefts += [left] * len(matched)
+                rights += matched
+        if not lefts:
             continue
-        out_cards = [graph.cardinality(mask) for mask in masks]
-        states = cost_model.combine(
-            [left.state for left in lefts], [right.state for right in rights],
-            [left.cardinality for left in lefts],
-            [right.cardinality for right in rights], out_cards)
-        for left, right, combined, out_card, state in zip(
-                lefts, rights, masks, out_cards, states):
-            existing = table.get(combined)
-            if (existing is None
-                    or state.comparison_cost < existing.state.comparison_cost):
-                if existing is None:
-                    by_size[size].append(combined)
-                table[combined] = _Entry(
-                    (left.tree, right.tree), state, out_card)
+        combined = [masks[left] | masks[right]
+                    for left, right in zip(lefts, rights)]
+        out_cards = [graph.cardinality(mask) for mask in combined]
+        level_costs = cost_model.combine(
+            lefts, rights, [cards[left] for left in lefts],
+            [cards[right] for right in rights], out_cards)
+        # Each subset keeps its first strictly cheapest candidate in
+        # enumeration order; subsets stay in first-appearance order.
+        best: Dict[int, int] = {}
+        for k, (mask, cost) in enumerate(zip(combined, level_costs)):
+            held = best.get(mask)
+            if held is None or cost < level_costs[held]:
+                best[mask] = k
+        winners = list(best.values())
+        cost_model.keep(winners)
+        for k in winners:
+            left, right, mask = lefts[k], rights[k], combined[k]
+            by_size[size].append(len(masks))
+            masks.append(mask)
+            hoods.append((hoods[left] | hoods[right]) & ~mask)
+            trees.append((trees[left], trees[right]))
+            cards.append(out_cards[k])
+            costs.append(level_costs[k])
 
-    full_mask = (1 << n) - 1
-    if full_mask not in table:
+    if masks[-1] != (1 << n) - 1:
         raise PlanError("join graph is not connected")
-    best = table[full_mask]
     return DPResult(
-        tree=best.tree,
-        cost=best.state.comparison_cost,
-        cardinality=best.cardinality,
+        tree=trees[-1],
+        cost=costs[-1],
+        cardinality=cards[-1],
         model_calls=cost_model.model_calls - calls_before,
         optimization_seconds=time.perf_counter() - start_time,
-        n_entries=len(table))
+        n_entries=len(masks))
 
 
 def join_tree_tables(tree: JoinTree, graph: JoinGraph) -> List[str]:

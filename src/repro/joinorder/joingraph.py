@@ -54,6 +54,8 @@ class JoinGraph:
         self.relations = list(relations)
         self.edges = list(edges)
         self._cards: Dict[int, float] = {}
+        self._bits: List[int] = []
+        self._bits_edges: Optional[Tuple[GraphEdge, ...]] = None
         self._edges_by_pair: Dict[Tuple[int, int], GraphEdge] = {}
         for graph_edge in self.edges:
             key = (min(graph_edge.left, graph_edge.right),
@@ -66,15 +68,29 @@ class JoinGraph:
 
     # -- connectivity ------------------------------------------------------
 
+    def neighbour_bits(self) -> List[int]:
+        """Per relation index, the mask of the relations it shares an edge
+        with.
+
+        Read from :attr:`edges` as they are now: the masks are rebuilt
+        when the edge list has changed since they were last built.
+        """
+        edges = tuple(self.edges)
+        if edges != self._bits_edges:
+            bits = [0] * self.n_relations
+            for graph_edge in edges:
+                bits[graph_edge.left] |= 1 << graph_edge.right
+                bits[graph_edge.right] |= 1 << graph_edge.left
+            self._bits, self._bits_edges = bits, edges
+        return self._bits
+
     def connected(self, mask_a: int, mask_b: int) -> bool:
         """Is there an edge between the two (disjoint) subsets?"""
-        for graph_edge in self.edges:
-            left_bit = 1 << graph_edge.left
-            right_bit = 1 << graph_edge.right
-            if (mask_a & left_bit and mask_b & right_bit) or \
-               (mask_a & right_bit and mask_b & left_bit):
-                return True
-        return False
+        reach = 0
+        for index, bits in enumerate(self.neighbour_bits()):
+            if mask_a >> index & 1:
+                reach |= bits
+        return bool(reach & mask_b)
 
     def edge_between_sets(self, mask_a: int,
                           mask_b: int) -> Optional[GraphEdge]:

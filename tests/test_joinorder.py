@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlanError
 from repro.engine.logical import LogicalGroupBy, LogicalJoin, LogicalScan
@@ -12,7 +13,9 @@ from repro.datagen.instances import get_instance
 from repro.datagen.benchmarks_job import job_queries
 from repro.joinorder import (
     CoutJoinCost,
+    GraphEdge,
     JoinGraph,
+    Relation,
     T3JoinCost,
     dpsize,
     greedy_order,
@@ -47,7 +50,46 @@ def _toy_graph(toy_instance):
     return JoinGraph.from_logical(logical, toy_instance.catalog)
 
 
+@st.composite
+def _graphs_with_masks(draw):
+    """A small random join graph, two disjoint relation subsets, and a
+    set of edge positions to delete later."""
+    n = draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda pair: pair[0] != pair[1])
+    edges = draw(st.lists(pairs, max_size=12)) if n > 1 else []
+    owners = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    mask_a = sum(1 << i for i, owner in enumerate(owners) if owner == 1)
+    mask_b = sum(1 << i for i, owner in enumerate(owners) if owner == 2)
+    removed = (draw(st.sets(st.integers(0, len(edges) - 1)))
+               if edges else set())
+    graph = JoinGraph(
+        [Relation(i, f"t{i}", None, 1.0, 1.0, 8) for i in range(n)],
+        [GraphEdge(left, right, None, 0.5) for left, right in edges])
+    return graph, mask_a, mask_b, removed
+
+
+def _edge_scan_connected(graph, mask_a, mask_b):
+    """Connectivity by a plain scan over the graph's current edges."""
+    return any((mask_a >> e.left & 1 and mask_b >> e.right & 1)
+               or (mask_a >> e.right & 1 and mask_b >> e.left & 1)
+               for e in graph.edges)
+
+
 class TestJoinGraph:
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs_with_masks())
+    def test_connected_matches_edge_scan(self, case):
+        graph, mask_a, mask_b, removed = case
+        for a, b in ((mask_a, mask_b), (mask_b, mask_a)):
+            assert graph.connected(a, b) == _edge_scan_connected(graph, a, b)
+        # Edges deleted after construction, and after the neighbour
+        # masks were first built, must no longer connect anything.
+        for position in sorted(removed, reverse=True):
+            del graph.edges[position]
+        for a, b in ((mask_a, mask_b), (mask_b, mask_a)):
+            assert graph.connected(a, b) == _edge_scan_connected(graph, a, b)
+
     def test_extraction(self, toy_instance):
         graph = _toy_graph(toy_instance)
         assert graph.n_relations == 3
@@ -205,6 +247,21 @@ class _PerPairReference:
                        open_start=right.open_start)
 
 
+class _PerPairCout:
+    """C_out costed one combination at a time: the reference."""
+
+    def __init__(self):
+        self.model_calls = 0
+
+    def leaf(self, relation):
+        return DPState(comparison_cost=0.0)
+
+    def combine(self, left, right, left_card, right_card, out_card):
+        self.model_calls += 1
+        return DPState(comparison_cost=out_card + left.comparison_cost
+                       + right.comparison_cost)
+
+
 def _per_pair_dpsize(graph, cost):
     """DPsize costing one combination at a time: (tree, cost)."""
     n = graph.n_relations
@@ -318,3 +375,33 @@ class TestLevelBatchedT3:
         assert (result.tree, result.cost) == _per_pair_dpsize(graph, reference)
         assert result.model_calls == reference.model_calls == 1
         assert dpsize(graph, CoutJoinCost()).model_calls == 0
+
+
+class TestEntryIdDPsize:
+    """DPsize on entry ids against the per-pair references."""
+
+    @pytest.fixture(scope="class")
+    def all_job_graphs(self, imdb):
+        return [JoinGraph.from_logical(logical, imdb.catalog)
+                for _, logical in job_queries(imdb)]
+
+    def test_cout_matches_per_pair(self, all_job_graphs):
+        # C_out is symmetric, so every (T1, T2)/(T2, T1) pair ties: equal
+        # trees pin the first-strictly-cheaper tie-break and the
+        # first-appearance order of each size's entries.
+        assert len(all_job_graphs) == 113
+        for graph in all_job_graphs:
+            batched = dpsize(graph, CoutJoinCost())
+            reference = _PerPairCout()
+            tree, cost = _per_pair_dpsize(graph, reference)
+            assert batched.tree == tree
+            assert batched.cost == cost
+            assert batched.model_calls == reference.model_calls
+
+    def test_t3_keeps_state_for_winners_only(self, all_job_graphs, imdb):
+        for graph in all_job_graphs:
+            cost = T3JoinCost(lambda x: float(np.log1p(x[:16].sum())),
+                              catalog=imdb.catalog)
+            result = dpsize(graph, cost)
+            # One stored open row per subset, not one per candidate.
+            assert cost._size == result.n_entries
