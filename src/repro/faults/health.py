@@ -3,16 +3,17 @@
 ``/healthz`` should answer three different questions with one word:
 is the service answering from its fast path (*healthy*), is it
 answering but leaning on fallbacks or shedding load (*degraded*), or
-is it on its way down (*draining*, terminal)? The tracker aggregates
-degradation signals from the whole stack:
+is it on its way down (*draining*, terminal)? The tracker holds only
+what decides that word; the counts behind it live in the service's
+metrics:
 
-* **events** — fallback evaluations and shed requests are counted and
-  keep the service degraded for a configurable linger window after the
-  last one (a single blip should be visible to a scraper polling every
-  few seconds, but not forever),
-* **conditions** — registered probe callables (e.g. "is any circuit
-  breaker not closed?") that hold the state at degraded for as long as
-  they return true,
+* **the linger clock** — each fallback or shed event keeps the
+  service degraded for a window after the last one (a single blip
+  should be visible to a scraper polling every few seconds, but not
+  forever),
+* **one condition** — a callable given at construction (e.g. "is any
+  circuit breaker not closed?") that holds the state at degraded for
+  as long as it returns true,
 * **draining** — set once at shutdown; never leaves.
 
 The clock is injectable so tests can walk the linger window without
@@ -24,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from enum import Enum
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 __all__ = ["HealthState", "HealthTracker"]
 
@@ -43,37 +44,31 @@ class HealthState(Enum):
 
 
 class HealthTracker:
-    """Aggregates degradation signals into one :class:`HealthState`."""
+    """Turns the linger clock, one condition and the draining flag
+    into one :class:`HealthState`.
 
-    def __init__(self, degraded_linger_s: float = 30.0,
+    ``degraded_when`` forces *degraded* while it returns true;
+    ``reason`` names it in :meth:`degraded_reasons`.
+    """
+
+    def __init__(self, degraded_when: Callable[[], bool] = lambda: False,
+                 reason: str = "condition",
+                 degraded_linger_s: float = 30.0,
                  clock: Callable[[], float] = time.monotonic):
+        self._degraded_when = degraded_when
+        self.reason = reason
         self.degraded_linger_s = float(degraded_linger_s)
         self._clock = clock
         self._lock = threading.Lock()
         self._draining = False
         self._last_event = -float("inf")
-        self._fallbacks: Dict[str, int] = {}
-        self._sheds = 0
-        self._probes: Dict[str, Callable[[], bool]] = {}
 
     # -- signals -----------------------------------------------------------
 
-    def note_fallback(self, target: str) -> None:
-        """A request was answered by a degraded backend (``target``)."""
+    def note_event(self) -> None:
+        """A request fell back or was shed: restart the linger clock."""
         with self._lock:
-            self._fallbacks[target] = self._fallbacks.get(target, 0) + 1
             self._last_event = self._clock()
-
-    def note_shed(self) -> None:
-        """A request was shed (deadline expired, watermark, queue full)."""
-        with self._lock:
-            self._sheds += 1
-            self._last_event = self._clock()
-
-    def add_probe(self, name: str, probe: Callable[[], bool]) -> None:
-        """Register a condition that forces *degraded* while true."""
-        with self._lock:
-            self._probes[name] = probe
 
     def mark_draining(self) -> None:
         """Enter the terminal draining state (service shutdown)."""
@@ -89,37 +84,10 @@ class HealthTracker:
                 return HealthState.DRAINING
             lingering = (self._clock() - self._last_event
                          < self.degraded_linger_s)
-            probes = list(self._probes.values())
-        if lingering or any(probe() for probe in probes):
+        if lingering or self._degraded_when():
             return HealthState.DEGRADED
         return HealthState.HEALTHY
 
-    @property
-    def fallback_count(self) -> int:
-        with self._lock:
-            return sum(self._fallbacks.values())
-
-    @property
-    def shed_count(self) -> int:
-        with self._lock:
-            return self._sheds
-
-    def degraded_probes(self) -> List[str]:
-        """Names of probes currently reporting degradation."""
-        with self._lock:
-            probes = list(self._probes.items())
-        return [name for name, probe in probes if probe()]
-
-    def describe(self) -> Dict[str, object]:
-        """Payload fragment for ``/healthz``."""
-        state = self.state
-        with self._lock:
-            fallbacks = dict(self._fallbacks)
-            sheds = self._sheds
-        return {
-            "state": state.value,
-            "fallbacks": fallbacks,
-            "fallback_total": sum(fallbacks.values()),
-            "shed_total": sheds,
-            "degraded_reasons": self.degraded_probes(),
-        }
+    def degraded_reasons(self) -> List[str]:
+        """``[reason]`` while the condition holds, else ``[]``."""
+        return [self.reason] if self._degraded_when() else []

@@ -77,7 +77,7 @@ def dpsize(graph: JoinGraph, cost_model: JoinCostModel) -> DPResult:
             continue
         combined = [masks[left] | masks[right]
                     for left, right in zip(lefts, rights)]
-        out_cards = [graph.cardinality(mask) for mask in combined]
+        out_cards = graph.cardinalities(combined)
         level_costs = cost_model.combine(
             lefts, rights, [cards[left] for left in lefts],
             [cards[right] for right in rights], out_cards)

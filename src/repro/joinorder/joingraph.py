@@ -55,12 +55,7 @@ class JoinGraph:
         self.edges = list(edges)
         self._cards: Dict[int, float] = {}
         self._bits: List[int] = []
-        self._bits_edges: Optional[Tuple[GraphEdge, ...]] = None
-        self._edges_by_pair: Dict[Tuple[int, int], GraphEdge] = {}
-        for graph_edge in self.edges:
-            key = (min(graph_edge.left, graph_edge.right),
-                   max(graph_edge.left, graph_edge.right))
-            self._edges_by_pair.setdefault(key, graph_edge)
+        self._snapshot: Optional[Tuple[GraphEdge, ...]] = None
 
     @property
     def n_relations(self) -> int:
@@ -68,20 +63,23 @@ class JoinGraph:
 
     # -- connectivity ------------------------------------------------------
 
-    def neighbour_bits(self) -> List[int]:
-        """Per relation index, the mask of the relations it shares an edge
-        with.
-
-        Read from :attr:`edges` as they are now: the masks are rebuilt
-        when the edge list has changed since they were last built.
-        """
+    def _sync(self) -> Tuple[GraphEdge, ...]:
+        """The edge snapshot the neighbour masks and the cardinality memo
+        were built from; both are rebuilt when :attr:`edges` has changed
+        since."""
         edges = tuple(self.edges)
-        if edges != self._bits_edges:
+        if edges != self._snapshot:
             bits = [0] * self.n_relations
             for graph_edge in edges:
                 bits[graph_edge.left] |= 1 << graph_edge.right
                 bits[graph_edge.right] |= 1 << graph_edge.left
-            self._bits, self._bits_edges = bits, edges
+            self._bits, self._snapshot, self._cards = bits, edges, {}
+        return self._snapshot
+
+    def neighbour_bits(self) -> List[int]:
+        """Per relation index, the mask of the relations it shares an edge
+        with, read from :attr:`edges` as they are now."""
+        self._sync()
         return self._bits
 
     def connected(self, mask_a: int, mask_b: int) -> bool:
@@ -106,19 +104,27 @@ class JoinGraph:
 
     def cardinality(self, mask: int) -> float:
         """Oracle cardinality of a subset (product form, memoized)."""
-        cached = self._cards.get(mask)
-        if cached is not None:
-            return cached
-        card = 1.0
-        for relation in self.relations:
-            if mask & (1 << relation.index):
-                card *= relation.cardinality
-        for graph_edge in self.edges:
-            if (mask & (1 << graph_edge.left)
-                    and mask & (1 << graph_edge.right)):
-                card *= graph_edge.selectivity
-        self._cards[mask] = card
-        return card
+        return self.cardinalities([mask])[0]
+
+    def cardinalities(self, masks: Sequence[int]) -> List[float]:
+        """:meth:`cardinality` of each mask, under one check of
+        :attr:`edges` (DPsize asks for a whole level at once)."""
+        edges = self._sync()
+        out = []
+        for mask in masks:
+            card = self._cards.get(mask)
+            if card is None:
+                card = 1.0
+                for relation in self.relations:
+                    if mask & (1 << relation.index):
+                        card *= relation.cardinality
+                for graph_edge in edges:
+                    if (mask & (1 << graph_edge.left)
+                            and mask & (1 << graph_edge.right)):
+                        card *= graph_edge.selectivity
+                self._cards[mask] = card
+            out.append(card)
+        return out
 
     # -- construction from logical plans -------------------------------------------
 

@@ -16,7 +16,8 @@ long-running service (ROADMAP: "serve heavy traffic"):
 * :mod:`~repro.serving.http` — stdlib HTTP endpoints
   (``/predict``, ``/observe``, ``/metrics``, ``/healthz``),
 * :mod:`~repro.serving.telemetry` — counters / gauges / histograms
-  with Prometheus text exposition.
+  with Prometheus text exposition; the one store of every serving
+  count (the cache, batcher and ``/healthz`` figures read them).
 
 Quick start::
 

@@ -83,9 +83,9 @@ class _Request:
     deadline: Optional[float]    # monotonic seconds, None = no deadline
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatcherStats:
-    """Snapshot of the batcher's cumulative counters."""
+    """A snapshot of the batcher's counters."""
 
     requests: int = 0
     batches: int = 0
@@ -144,6 +144,10 @@ class MicroBatcher:
     belonging to the caller's vectors, in order. ``pending`` counts the
     requests that may still join a batch; without it the worker
     coalesces for the whole ``max_wait_s`` window.
+
+    Every count lives once, in the ``t3_serving_*`` instruments of
+    ``metrics`` (a private registry by default); :meth:`stats` reads
+    them. Batchers given the same registry share the counts.
     """
 
     def __init__(self, predict_batch: Callable[[np.ndarray], np.ndarray],
@@ -171,46 +175,38 @@ class MicroBatcher:
         self.name = name
         self._injector = injector or get_injector()
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_capacity)
-        self._stats = BatcherStats()
-        self._stats_lock = threading.Lock()
         self._lifecycle_lock = threading.Lock()   # guards _worker
         self._worker: Optional[threading.Thread] = None
         self._started = threading.Event()
         self._closed = threading.Event()
         self._pending = pending
-        if metrics is not None:
-            self._m_batch_rows = metrics.histogram(
-                "t3_serving_batch_rows",
-                "rows coalesced per native batch call",
-                buckets=_BATCH_SIZE_BUCKETS)
-            metrics.gauge("t3_serving_queue_depth",
-                          "requests waiting in the prediction queue",
-                          function=self._queue.qsize)
-            metrics.gauge("t3_serving_queue_capacity",
-                          "bound of the prediction queue",
-                          function=lambda: self.queue_capacity)
-            self._m_rejected = metrics.counter(
-                "t3_serving_rejected_total",
-                "requests shed because the queue was full")
-            self._m_timeouts = metrics.counter(
-                "t3_serving_timeouts_total",
-                "requests that exceeded their deadline")
-            self._m_shed = metrics.counter(
-                "t3_serving_shed_total",
-                "requests shed by the watermark load-shedding policy")
-            self._m_expired = metrics.counter(
-                "t3_serving_deadline_expired_total",
-                "queued requests shed because their deadline passed "
-                "before evaluation")
-            self._m_batches = metrics.counter(
-                "t3_serving_batches_total", "native batch calls issued")
-        else:
-            self._m_batch_rows = None
-            self._m_rejected = None
-            self._m_timeouts = None
-            self._m_shed = None
-            self._m_expired = None
-            self._m_batches = None
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._m_requests = metrics.counter(
+            "t3_serving_batcher_requests_total",
+            "requests enqueued for a native batch call")
+        self._m_batches = metrics.counter(
+            "t3_serving_batches_total", "native batch calls issued")
+        self._m_batch_rows = metrics.histogram(
+            "t3_serving_batch_rows",
+            "rows coalesced per native batch call",
+            buckets=_BATCH_SIZE_BUCKETS)
+        self._m_rejected = metrics.counter(
+            "t3_serving_rejected_total",
+            "requests shed because the queue was full")
+        self._m_timeouts = metrics.counter(
+            "t3_serving_timeouts_total",
+            "requests that exceeded their deadline")
+        self._m_shed = metrics.counter(
+            "t3_serving_shed_total",
+            "requests shed by the watermark load-shedding policy")
+        self._m_expired = metrics.counter(
+            "t3_serving_deadline_expired_total",
+            "queued requests shed because their deadline passed "
+            "before evaluation")
+        self._m_drained = metrics.counter(
+            "t3_serving_drained_total",
+            "queued requests failed because their batcher closed")
 
     # -- lifecycle --------------------------------------------------------
 
@@ -263,8 +259,7 @@ class MicroBatcher:
             _try_set_exception(item.future, ServiceClosedError(message))
             drained += 1
         if drained:
-            with self._stats_lock:
-                self._stats.drained += drained
+            self._m_drained.inc(drained)
 
     # -- submission -------------------------------------------------------
 
@@ -295,15 +290,12 @@ class MicroBatcher:
             deadline = time.monotonic() + timeout
         if deadline is not None and time.monotonic() >= deadline:
             # Already expired: shed before consuming queue capacity.
-            self._note_expired()
+            self._m_expired.inc()
             raise DeadlineExceeded(
                 "request deadline expired before it could be enqueued")
         if self.shed_watermark is not None and \
                 self._queue.qsize() >= self.shed_watermark:
-            with self._stats_lock:
-                self._stats.shed += 1
-            if self._m_shed is not None:
-                self._m_shed.inc()
+            self._m_shed.inc()
             raise LoadShedError(
                 f"prediction queue depth crossed the shed watermark "
                 f"({self.shed_watermark}/{self.queue_capacity}); "
@@ -312,17 +304,13 @@ class MicroBatcher:
         try:
             self._queue.put_nowait(request)
         except queue.Full:
-            with self._stats_lock:
-                self._stats.rejected += 1
-            if self._m_rejected is not None:
-                self._m_rejected.inc()
+            self._m_rejected.inc()
             raise QueueFullError(
                 f"prediction queue full ({self.queue_capacity} waiting); "
                 "retry later or raise queue_capacity") from None
         if self._pending is not None:
             self._pending.leave()   # after the put: see _no_more_company
-        with self._stats_lock:
-            self._stats.requests += 1
+        self._m_requests.inc()
         if self._closed.is_set():
             # close() can complete between the entry check and the
             # put: its drain already ran, the worker is gone, and this
@@ -344,19 +332,10 @@ class MicroBatcher:
             return future.result(timeout)
         except FutureTimeoutError:
             future.cancel()
-            with self._stats_lock:
-                self._stats.timeouts += 1
-            if self._m_timeouts is not None:
-                self._m_timeouts.inc()
+            self._m_timeouts.inc()
             raise RequestTimeoutError(
                 f"prediction did not complete within "
                 f"{(timeout or 0.0):.3f}s") from None
-
-    def _note_expired(self) -> None:
-        with self._stats_lock:
-            self._stats.expired += 1
-        if self._m_expired is not None:
-            self._m_expired.inc()
 
     # -- introspection ----------------------------------------------------
 
@@ -365,11 +344,16 @@ class MicroBatcher:
         return self._queue.qsize()
 
     def stats(self) -> BatcherStats:
-        with self._stats_lock:
-            return BatcherStats(self._stats.requests, self._stats.batches,
-                                self._stats.rows, self._stats.rejected,
-                                self._stats.timeouts, self._stats.shed,
-                                self._stats.expired, self._stats.drained)
+        """Read the counters into a snapshot."""
+        return BatcherStats(
+            requests=int(self._m_requests.value),
+            batches=int(self._m_batches.value),
+            rows=int(self._m_batch_rows.sum),
+            rejected=int(self._m_rejected.value),
+            timeouts=int(self._m_timeouts.value),
+            shed=int(self._m_shed.value),
+            expired=int(self._m_expired.value),
+            drained=int(self._m_drained.value))
 
     # -- worker -----------------------------------------------------------
 
@@ -433,7 +417,7 @@ class MicroBatcher:
             if request.deadline is not None and now > request.deadline:
                 # Shed, never evaluated late: typed so callers can tell
                 # "never ran" from "ran too long".
-                self._note_expired()
+                self._m_expired.inc()
                 _try_set_exception(request.future, DeadlineExceeded(
                     "request deadline expired while waiting in the "
                     "batch queue; shed without evaluation"))
@@ -453,13 +437,8 @@ class MicroBatcher:
             for request in live:
                 _try_set_exception(request.future, exc)
             return
-        with self._stats_lock:
-            self._stats.batches += 1
-            self._stats.rows += len(stacked)
-        if self._m_batches is not None:
-            self._m_batches.inc()
-        if self._m_batch_rows is not None:
-            self._m_batch_rows.observe(len(stacked))
+        self._m_batches.inc()
+        self._m_batch_rows.observe(len(stacked))
         offset = 0
         for request in live:
             n = len(request.vectors)

@@ -6,8 +6,8 @@ caches the *output* of that front half — the per-pipeline feature
 matrix and input cardinalities — keyed by ``(model, instance,
 normalized SQL)``. A repeated query then costs one native batch call.
 
-The cache is a plain LRU with hit/miss/eviction accounting; the
-service wires those counts into the metrics registry.
+The cache is a plain LRU; its hit/miss/eviction counts live in the
+metrics registry it is given.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
 from ..errors import ConfigurationError
+from .telemetry import MetricsRegistry
 
 __all__ = ["CacheStats", "LRUCache", "normalize_sql"]
 
@@ -53,9 +54,9 @@ def normalize_sql(sql: str) -> str:
     return normalized
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheStats:
-    """Cumulative cache accounting (monotonic counters)."""
+    """A snapshot of the cache's counters."""
 
     hits: int = 0
     misses: int = 0
@@ -73,39 +74,44 @@ class CacheStats:
 class LRUCache:
     """A thread-safe least-recently-used cache.
 
-    ``on_hit`` / ``on_miss`` / ``on_evict`` callbacks let the owner
-    mirror the stats into external counters without the cache knowing
-    about any metrics system.
+    Hits, misses and evictions are counted once, in the
+    ``t3_serving_cache_*_total`` counters of ``metrics`` (a private
+    registry by default); :attr:`stats` reads them. Caches given the
+    same registry share the counts.
     """
 
     def __init__(self, capacity: int,
-                 on_hit: Optional[Callable[[], None]] = None,
-                 on_miss: Optional[Callable[[], None]] = None,
-                 on_evict: Optional[Callable[[], None]] = None):
+                 metrics: Optional[MetricsRegistry] = None):
         if capacity < 1:
             raise ConfigurationError(
                 f"cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self.stats = CacheStats()
-        self._on_hit = on_hit
-        self._on_miss = on_miss
-        self._on_evict = on_evict
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._hits = metrics.counter(
+            "t3_serving_cache_hits_total", "plan/feature cache hits")
+        self._misses = metrics.counter(
+            "t3_serving_cache_misses_total", "plan/feature cache misses")
+        self._evictions = metrics.counter(
+            "t3_serving_cache_evictions_total",
+            "plan/feature cache evictions")
+
+    @property
+    def stats(self) -> CacheStats:
+        return CacheStats(int(self._hits.value), int(self._misses.value),
+                          int(self._evictions.value))
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         with self._lock:
             value = self._entries.get(key, _MISSING)
-            if value is _MISSING:
-                self.stats.misses += 1
-                callback = self._on_miss
-                value = default
-            else:
+            if value is not _MISSING:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-                callback = self._on_hit
-        if callback is not None:
-            callback()
+        if value is _MISSING:
+            self._misses.inc()
+            return default
+        self._hits.inc()
         return value
 
     def get_checked(self, key: Hashable,
@@ -117,25 +123,18 @@ class LRUCache:
         subsequent hit."""
         with self._lock:
             value = self._entries.get(key, _MISSING)
-            if value is not _MISSING and not validator(value):
+            dropped = value is not _MISSING and not validator(value)
+            if dropped:
                 del self._entries[key]
-                self.stats.evictions += 1
-                evict_callback = self._on_evict
                 value = _MISSING
-            else:
-                evict_callback = None
-            if value is _MISSING:
-                self.stats.misses += 1
-                callback = self._on_miss
-                value = default
-            else:
+            elif value is not _MISSING:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-                callback = self._on_hit
-        if evict_callback is not None:
-            evict_callback()
-        if callback is not None:
-            callback()
+        if dropped:
+            self._evictions.inc()
+        if value is _MISSING:
+            self._misses.inc()
+            return default
+        self._hits.inc()
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -146,12 +145,9 @@ class LRUCache:
             self._entries[key] = value
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
                 evicted += 1
-            callback = self._on_evict
-        if callback is not None:
-            for _ in range(evicted):
-                callback()
+        if evicted:
+            self._evictions.inc(evicted)
 
     def __len__(self) -> int:
         with self._lock:
@@ -172,11 +168,8 @@ class LRUCache:
             doomed = [key for key in self._entries if predicate(key)]
             for key in doomed:
                 del self._entries[key]
-            self.stats.evictions += len(doomed)
-            callback = self._on_evict
-        if callback is not None:
-            for _ in doomed:
-                callback()
+        if doomed:
+            self._evictions.inc(len(doomed))
         return len(doomed)
 
     def clear(self) -> None:

@@ -37,7 +37,7 @@ import itertools
 import logging
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,7 +70,7 @@ from ..metrics import q_error
 from ..rng import DEFAULT_SEED
 from ..treecomp.compiler import compiler_info
 from .batching import MicroBatcher, Pending
-from .cache import LRUCache, normalize_sql
+from .cache import CacheStats, LRUCache, normalize_sql
 from .fallback import AnalyticBaseline
 from .registry import ModelEntry, ModelRegistry
 from .telemetry import MetricsRegistry
@@ -126,9 +126,6 @@ class ServingConfig:
     #: Installed on the global injector at service construction
     #: (``repro-t3 serve --chaos``); ``None`` leaves faults untouched.
     fault_plan: Optional[FaultPlan] = None
-    #: How long after the last fallback/shed event ``/healthz`` keeps
-    #: reporting ``degraded``.
-    degraded_linger_s: float = 30.0
 
     @property
     def shed_watermark_depth(self) -> Optional[int]:
@@ -235,30 +232,31 @@ class PredictionService:
         #: a request for another model also holds a batch, up to
         #: ``batch_wait_s``).
         self._pending = Pending()
-        self._health = HealthTracker(
-            degraded_linger_s=self.config.degraded_linger_s)
-        self._health.add_probe("breaker_not_closed", self._any_breaker_open)
+        self._health = HealthTracker(degraded_when=self._any_breaker_open,
+                                     reason="breaker_not_closed")
 
         m = self.metrics
         self._m_requests = m.counter(
             "t3_serving_requests_total", "prediction requests answered")
         self._m_errors = m.counter(
             "t3_serving_errors_total", "prediction requests failed")
-        self._m_cache_hits = m.counter(
-            "t3_serving_cache_hits_total", "plan/feature cache hits")
-        self._m_cache_misses = m.counter(
-            "t3_serving_cache_misses_total", "plan/feature cache misses")
-        self._m_cache_evictions = m.counter(
-            "t3_serving_cache_evictions_total", "plan/feature cache evictions")
-        self._m_fallback = m.counter(
-            "t3_serving_fallback_total",
-            "requests answered by a degraded backend")
-        self._m_fallback_interpreted = m.counter(
-            "t3_serving_fallback_interpreted_total",
-            "requests answered by the interpreted ensemble fallback")
-        self._m_fallback_analytic = m.counter(
-            "t3_serving_fallback_analytic_total",
-            "requests answered by the analytic baseline fallback")
+        self._m_shed = m.counter(
+            "t3_serving_requests_shed_total",
+            "requests failed by a load decision (queue full, watermark, "
+            "deadline, timeout)")
+        #: Per fallback rung; ``t3_serving_fallback_total`` is their sum.
+        self._m_fallbacks = {
+            _INTERPRETED: m.counter(
+                "t3_serving_fallback_interpreted_total",
+                "requests answered by the interpreted ensemble fallback"),
+            _ANALYTIC: m.counter(
+                "t3_serving_fallback_analytic_total",
+                "requests answered by the analytic baseline fallback"),
+        }
+        m.counter("t3_serving_fallback_total",
+                  "requests answered by a degraded backend",
+                  function=lambda: sum(
+                      c.value for c in self._m_fallbacks.values()))
         self._m_observations = m.counter(
             "t3_serving_observations_total",
             "ground-truth observations accepted")
@@ -274,11 +272,13 @@ class PredictionService:
             "tree inference stage latency (including batch queueing)")
         self._m_total = m.histogram(
             "t3_serving_total_seconds", "end-to-end request latency")
-        self._plan_cache = LRUCache(
-            self.config.plan_cache_size,
-            on_hit=self._m_cache_hits.inc,
-            on_miss=self._m_cache_misses.inc,
-            on_evict=self._m_cache_evictions.inc)
+        self._plan_cache = LRUCache(self.config.plan_cache_size, m)
+        m.gauge("t3_serving_queue_depth",
+                "requests waiting in the prediction queues of all models",
+                function=self._queued)
+        m.gauge("t3_serving_queue_capacity",
+                "bound of each prediction queue",
+                function=lambda: self.config.queue_capacity)
         m.gauge("t3_serving_plan_cache_size",
                 "entries in the plan/feature cache",
                 function=self._plan_cache.__len__)
@@ -577,17 +577,14 @@ class PredictionService:
         self._note_fallback(_ANALYTIC)
         return None, _ANALYTIC
 
-    def _note_fallback(self, target: str) -> None:
-        self._m_fallback.inc()
-        if target == _INTERPRETED:
-            self._m_fallback_interpreted.inc()
-        else:
-            self._m_fallback_analytic.inc()
-        self._health.note_fallback(target)
+    def _note_fallback(self, rung: str) -> None:
+        self._m_fallbacks[rung].inc()
+        self._health.note_event()
 
     def _note_shed(self, exc: Exception) -> None:
         if isinstance(exc, (QueueFullError, RequestTimeoutError)):
-            self._health.note_shed()
+            self._m_shed.inc()
+            self._health.note_event()
 
     def _resolve_deadline(self, timeout: Optional[float],
                           deadline: Optional[float]) -> Optional[float]:
@@ -684,6 +681,11 @@ class PredictionService:
                 self._breakers[entry.key] = breaker
             return breaker
 
+    def _queued(self) -> int:
+        with self._batchers_lock:
+            batchers = list(self._batchers.values())
+        return sum(batcher.queue_depth for batcher in batchers)
+
     def _breaker_count(self, state: BreakerState) -> int:
         with self._breakers_lock:
             breakers = list(self._breakers.values())
@@ -722,11 +724,9 @@ class PredictionService:
             "plan_cache": {
                 "size": len(self._plan_cache),
                 "capacity": self._plan_cache.capacity,
-                "hits": self._plan_cache.stats.hits,
-                "misses": self._plan_cache.stats.misses,
-                "evictions": self._plan_cache.stats.evictions,
+                **asdict(self._plan_cache.stats),
             },
-            "degradation": self._health.describe(),
+            "degradation": self._degradation(state),
             "breakers": breakers,
             "faults": {
                 "active": self._injector.active,
@@ -737,7 +737,20 @@ class PredictionService:
             "compiler": compiler_info(),
         }
 
-    def cache_stats(self):
+    def _degradation(self, state: HealthState) -> Dict[str, object]:
+        """``/healthz`` degradation fragment, read from the counters."""
+        fallbacks = {rung: int(counter.value)
+                     for rung, counter in self._m_fallbacks.items()
+                     if counter.value}
+        return {
+            "state": state.value,
+            "fallbacks": fallbacks,
+            "fallback_total": sum(fallbacks.values()),
+            "shed_total": int(self._m_shed.value),
+            "degraded_reasons": self._health.degraded_reasons(),
+        }
+
+    def cache_stats(self) -> CacheStats:
         return self._plan_cache.stats
 
     # -- lifecycle --------------------------------------------------------

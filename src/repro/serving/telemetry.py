@@ -28,11 +28,18 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
 
 
 class Counter:
-    """A monotonically increasing counter."""
+    """A monotonically increasing counter.
 
-    def __init__(self, name: str, help_text: str = ""):
+    Given ``function``, the counter is derived: it reads
+    ``function()`` (e.g. the sum of other counters) and is never
+    incremented itself.
+    """
+
+    def __init__(self, name: str, help_text: str = "",
+                 function: Optional[Callable[[], float]] = None):
         self.name = name
         self.help_text = help_text
+        self._function = function
         self._value = 0.0
         self._lock = threading.Lock()
 
@@ -44,6 +51,8 @@ class Counter:
 
     @property
     def value(self) -> float:
+        if self._function is not None:
+            return float(self._function())
         with self._lock:
             return self._value
 
@@ -191,9 +200,11 @@ class MetricsRegistry:
                     f"{type(instrument).__name__}")
             return instrument
 
-    def counter(self, name: str, help_text: str = "") -> Counter:
+    def counter(self, name: str, help_text: str = "",
+                function: Optional[Callable[[], float]] = None) -> Counter:
+        """Get or create a counter; ``function`` derives a new one."""
         return self._get_or_create(
-            name, Counter, lambda: Counter(name, help_text))
+            name, Counter, lambda: Counter(name, help_text, function))
 
     def gauge(self, name: str, help_text: str = "",
               function: Optional[Callable[[], float]] = None) -> Gauge:

@@ -371,30 +371,29 @@ class TestHealthTracker:
     def test_fallback_event_lingers_then_clears(self):
         clock = _FakeClock()
         tracker = HealthTracker(degraded_linger_s=30.0, clock=clock)
-        tracker.note_fallback("interpreted")
+        tracker.note_event()
         assert tracker.state is HealthState.DEGRADED
         clock.now = 29.0
         assert tracker.state is HealthState.DEGRADED
         clock.now = 31.0
         assert tracker.state is HealthState.HEALTHY
-        assert tracker.fallback_count == 1
 
-    def test_probe_holds_degraded(self):
+    def test_condition_holds_degraded(self):
         flag = {"open": True}
-        tracker = HealthTracker(clock=_FakeClock())
-        tracker.add_probe("breaker", lambda: flag["open"])
+        tracker = HealthTracker(degraded_when=lambda: flag["open"],
+                                reason="breaker", clock=_FakeClock())
         assert tracker.state is HealthState.DEGRADED
-        assert tracker.degraded_probes() == ["breaker"]
+        assert tracker.degraded_reasons() == ["breaker"]
         flag["open"] = False
         assert tracker.state is HealthState.HEALTHY
+        assert tracker.degraded_reasons() == []
 
     def test_draining_is_terminal(self):
         tracker = HealthTracker(clock=_FakeClock())
         tracker.mark_draining()
         assert tracker.state is HealthState.DRAINING
-        tracker.note_shed()
+        tracker.note_event()
         assert tracker.state is HealthState.DRAINING
-        assert tracker.describe()["shed_total"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +672,13 @@ class TestDegradationChain:
         for _ in range(5):
             result = service.predict(SQL, "toy")
             assert result.degraded is True
-        snapshots = service.health()["breakers"]
+        payload = service.health()
+        snapshots = payload["breakers"]
         assert snapshots[0]["state"] == "open"
         assert snapshots[0]["trips"] == 1
+        assert payload["degradation"]["degraded_reasons"] == \
+            ["breaker_not_closed"]
+        assert payload["degradation"]["fallbacks"] == {"interpreted": 5}
         # Open breaker: primary skipped outright, still answering.
         before = service.injector.fire_counts()["batcher.evaluate"]
         result = service.predict(SQL, "toy")

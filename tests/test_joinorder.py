@@ -102,6 +102,17 @@ class TestJoinGraph:
         assert full == pytest.approx(
             toy_instance.catalog.row_count("orders"), rel=0.05)
 
+    def test_cardinality_follows_edge_changes(self, toy_instance):
+        graph = _toy_graph(toy_instance)
+        full = (1 << 3) - 1
+        joined = graph.cardinality(full)
+        graph.edges.clear()
+        edgeless = JoinGraph(graph.relations, [])
+        assert graph.cardinality(full) == edgeless.cardinality(full)
+        assert graph.cardinality(full) != joined
+        assert graph.cardinalities([0b011, full]) == \
+            edgeless.cardinalities([0b011, full])
+
     def test_connectivity(self, toy_instance):
         graph = _toy_graph(toy_instance)
         orders_bit = 1 << 0

@@ -1,6 +1,7 @@
 """Tests for the online serving stack: cache, batcher, registry, service."""
 
 import gc
+import sys
 import threading
 import time
 
@@ -24,6 +25,8 @@ from repro.engine.optimizer import Optimizer
 from repro.engine.physical import PhysicalOperator
 from repro.engine.sqlparser import parse_sql
 from repro.serving import (
+    BatcherStats,
+    CacheStats,
     LRUCache,
     MetricsRegistry,
     MicroBatcher,
@@ -216,12 +219,37 @@ class TestLRUCache:
         assert cache.get("a") == 10
         assert cache.stats.evictions == 0
 
-    def test_eviction_callback(self):
-        evicted = []
-        cache = LRUCache(1, on_evict=lambda: evicted.append(1))
+    def test_evictions_count_in_given_registry(self):
+        metrics = MetricsRegistry()
+        cache = LRUCache(1, metrics)
         cache.put("a", 1)
         cache.put("b", 2)
-        assert len(evicted) == 1
+        assert metrics.get("t3_serving_cache_evictions_total").value == 1
+        assert cache.stats.evictions == 1
+
+    def test_concurrent_lookups_lose_no_count(self):
+        cache = LRUCache(4)
+        cache.put("a", 1)
+        n_threads, n_lookups = 8, 2000
+
+        def lookups():
+            for i in range(n_lookups):
+                cache.get("a" if i % 2 else "b")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lookups)
+                       for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        half = n_threads * n_lookups // 2
+        assert cache.stats == CacheStats(hits=half, misses=half, evictions=0)
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ConfigurationError):
@@ -241,6 +269,15 @@ class TestTelemetry:
         assert counter.value == 3.5
         with pytest.raises(ConfigurationError):
             counter.inc(-1)
+
+    def test_derived_counter_reads_its_function(self):
+        parts = [Counter("a_total"), Counter("b_total")]
+        total = Counter("all_total",
+                        function=lambda: sum(c.value for c in parts))
+        parts[0].inc()
+        parts[1].inc(2)
+        assert total.value == 3
+        assert "all_total 3" in total.render()
 
     def test_gauge_function(self):
         gauge = Gauge("g", function=lambda: 7)
@@ -672,6 +709,22 @@ class TestPredictionService:
 _LONG_WAIT = ServingConfig(batch_wait_s=5.0, default_timeout_s=30.0)
 
 
+def _wedge(batcher):
+    """Hold the batcher's first native call until ``release`` is set;
+    ``entered`` is set once it is held."""
+    predict = batcher._predict_batch
+    entered, release = threading.Event(), threading.Event()
+
+    def held(X):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(10.0)
+        return predict(X)
+
+    batcher._predict_batch = held
+    return entered, release
+
+
 class TestCoalesceWithCompany:
     def _service(self, toy_model, resolver, config=_LONG_WAIT):
         registry = ModelRegistry()
@@ -694,19 +747,7 @@ class TestCoalesceWithCompany:
         """Hold the first native batch call until the returned
         ``release`` is set; ``entered`` is set once it is held."""
         batcher = service._batcher_for(service.registry.get("m"))
-        predict = batcher._predict_batch
-        entered, release = threading.Event(), threading.Event()
-        calls = []
-
-        def gated(X):
-            calls.append(len(X))
-            if len(calls) == 1:
-                entered.set()
-                assert release.wait(10.0)
-            return predict(X)
-
-        batcher._predict_batch = gated
-        return batcher, entered, release
+        return (batcher, *_wedge(batcher))
 
     def test_lone_predict_skips_the_window(self, toy_model, resolver):
         service = self._service(toy_model, resolver)
@@ -991,3 +1032,233 @@ class TestColdPath:
                                                      sql)
         assert np.array_equal(vectors, ref_vectors)
         assert np.array_equal(cards, ref_cards)
+
+
+# ---------------------------------------------------------------------------
+# Single-sourced counts: /metrics, /healthz and the stats views agree
+# ---------------------------------------------------------------------------
+
+
+#: Histograms of stage latencies: only their ``_count`` is reproducible.
+_TIMED = ("t3_serving_parse_seconds", "t3_serving_featurize_seconds",
+          "t3_serving_infer_seconds", "t3_serving_total_seconds")
+
+
+def _pinned_view(text):
+    """``{name: type}`` and the reproducible samples of a ``/metrics``
+    text."""
+    types, samples = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split()
+            types[name] = kind
+        elif line and not line.startswith("#"):
+            name, value = line.rsplit(" ", 1)
+            if name.startswith(_TIMED) and not name.endswith("_count"):
+                continue
+            samples[name] = value
+    return types, samples
+
+
+def _scripted_sequence(model_path, resolver):
+    """One service through cold and warm answers, evictions, both
+    fallback rungs, a queue-full shed and a drained close; returns
+    ``(service, batcher)``."""
+    from repro.faults import FaultInjector, FaultPlan
+
+    injector = FaultInjector()
+    registry = ModelRegistry(compile_native=False, injector=injector)
+    model = T3Model.load(model_path, compile_to_native=False)
+    registry.register(model, "m")
+    service = PredictionService(
+        registry, ServingConfig(plan_cache_size=2, batch_wait_s=0.001,
+                                queue_capacity=1,
+                                shed_watermark_fraction=1.0),
+        instance_resolver=resolver, injector=injector)
+    other = "SELECT count(*) FROM customer"
+    join = ("SELECT count(*) FROM orders, customer "
+            "WHERE o_cust = c_id AND o_total <= 300")
+    assert not service.predict(SQL, "toy").cache_hit
+    assert service.predict(SQL, "toy").cache_hit
+    # One hit and two misses; the second miss evicts SQL.
+    hits = [r.cache_hit for r in service.predict_many(
+        [(SQL, "toy"), (other, "toy"), (join, "toy")])]
+    assert hits == [True, False, False]
+    assert not service.predict(SQL, "toy").cache_hit   # evicts `other`
+    service.observe(join, "toy", 0.01)
+    # Interpreted, then analytic (the booster is broken too).
+    injector.install(FaultPlan.parse("batcher.evaluate:raise:1:2"))
+    assert service.predict(SQL, "toy").fallback == "interpreted"
+
+    def broken(X):
+        raise RuntimeError("interpreted walk is broken too")
+    model.booster.predict = broken
+    assert service.predict(SQL, "toy").fallback == "analytic"
+    del model.booster.predict
+    # A wedged worker and a full one-slot queue shed the next request.
+    batcher = service._batcher_for(registry.get("m"))
+    entered, release = _wedge(batcher)
+    vectors = np.ones((1, model.registry.n_features))
+    held = batcher.submit_async(vectors)
+    assert entered.wait(10.0)
+    queued = batcher.submit_async(vectors)
+    with pytest.raises(QueueFullError):
+        service.predict(SQL, "toy")
+    # The wedged batcher drains its queue at close.
+    batcher.close(timeout=0.05)
+    service.close()
+    release.set()
+    with pytest.raises(ServingError):
+        queued.result(10.0)
+    held.result(10.0)
+    return service, batcher
+
+
+#: ``/metrics`` and ``/healthz`` of :func:`_scripted_sequence` recorded
+#: before the counts were single-sourced, when the cache, the batcher
+#: and the health tracker each kept their own tallies (timed histograms
+#: reduced to ``_count``).
+_RECORDED_TYPES = {
+    "t3_serving_batch_rows": "histogram",
+    "t3_serving_batches_total": "counter",
+    "t3_serving_breakers_half_open": "gauge",
+    "t3_serving_breakers_open": "gauge",
+    "t3_serving_cache_evictions_total": "counter",
+    "t3_serving_cache_hits_total": "counter",
+    "t3_serving_cache_misses_total": "counter",
+    "t3_serving_canary_requests_total": "counter",
+    "t3_serving_deadline_expired_total": "counter",
+    "t3_serving_errors_total": "counter",
+    "t3_serving_fallback_analytic_total": "counter",
+    "t3_serving_fallback_interpreted_total": "counter",
+    "t3_serving_fallback_total": "counter",
+    "t3_serving_featurize_seconds": "histogram",
+    "t3_serving_health_state": "gauge",
+    "t3_serving_infer_seconds": "histogram",
+    "t3_serving_models": "gauge",
+    "t3_serving_observations_total": "counter",
+    "t3_serving_parse_seconds": "histogram",
+    "t3_serving_plan_cache_size": "gauge",
+    "t3_serving_queue_capacity": "gauge",
+    "t3_serving_queue_depth": "gauge",
+    "t3_serving_rejected_total": "counter",
+    "t3_serving_requests_total": "counter",
+    "t3_serving_shed_total": "counter",
+    "t3_serving_timeouts_total": "counter",
+    "t3_serving_total_seconds": "histogram",
+}
+_RECORDED_SAMPLES = {
+    't3_serving_batch_rows_bucket{le="1"}': '1',
+    't3_serving_batch_rows_bucket{le="2"}': '4',
+    't3_serving_batch_rows_bucket{le="4"}': '5',
+    't3_serving_batch_rows_bucket{le="8"}': '6',
+    't3_serving_batch_rows_bucket{le="16"}': '6',
+    't3_serving_batch_rows_bucket{le="32"}': '6',
+    't3_serving_batch_rows_bucket{le="64"}': '6',
+    't3_serving_batch_rows_bucket{le="128"}': '6',
+    't3_serving_batch_rows_bucket{le="256"}': '6',
+    't3_serving_batch_rows_bucket{le="512"}': '6',
+    't3_serving_batch_rows_bucket{le="1024"}': '6',
+    't3_serving_batch_rows_bucket{le="+Inf"}': '6',
+    't3_serving_batch_rows_sum': '17',
+    't3_serving_batch_rows_count': '6',
+    't3_serving_batches_total': '6',
+    't3_serving_breakers_half_open': '0',
+    't3_serving_breakers_open': '0',
+    't3_serving_cache_evictions_total': '2',
+    't3_serving_cache_hits_total': '6',
+    't3_serving_cache_misses_total': '4',
+    't3_serving_canary_requests_total': '0',
+    't3_serving_deadline_expired_total': '0',
+    't3_serving_errors_total': '1',
+    't3_serving_fallback_analytic_total': '1',
+    't3_serving_fallback_interpreted_total': '1',
+    't3_serving_fallback_total': '2',
+    't3_serving_featurize_seconds_count': '4',
+    't3_serving_health_state': '2',
+    't3_serving_infer_seconds_count': '6',
+    't3_serving_models': '1',
+    't3_serving_observations_total': '1',
+    't3_serving_parse_seconds_count': '4',
+    't3_serving_plan_cache_size': '2',
+    't3_serving_queue_capacity': '1',
+    't3_serving_queue_depth': '0',
+    't3_serving_rejected_total': '1',
+    't3_serving_requests_total': '8',
+    't3_serving_shed_total': '0',
+    't3_serving_timeouts_total': '0',
+    't3_serving_total_seconds_count': '6',
+}
+_RECORDED_HEALTH = {
+    "degradation": {"state": "draining",
+                    "fallbacks": {"interpreted": 1, "analytic": 1},
+                    "fallback_total": 2, "shed_total": 1,
+                    "degraded_reasons": []},
+    "plan_cache": {"size": 2, "capacity": 2, "hits": 6, "misses": 4,
+                   "evictions": 2},
+}
+
+#: Counters first exported when the counts moved into the registry.
+_NEW_COUNTERS = {"t3_serving_batcher_requests_total": "9",
+                 "t3_serving_drained_total": "1",
+                 "t3_serving_requests_shed_total": "1"}
+
+
+class TestSingleSourcedCounts:
+    def test_scripted_sequence_matches_the_record(self, toy_model, resolver,
+                                                  tmp_path):
+        toy_model.save(tmp_path / "model.json")
+        service, batcher = _scripted_sequence(tmp_path / "model.json",
+                                              resolver)
+        types, samples = _pinned_view(service.metrics_text())
+        assert types == {**_RECORDED_TYPES,
+                         **{name: "counter" for name in _NEW_COUNTERS}}
+        # The queue-depth gauge now sums every batcher's queue.
+        assert samples.pop("t3_serving_queue_depth") == "0"
+        expected = {name: value for name, value in _RECORDED_SAMPLES.items()
+                    if name != "t3_serving_queue_depth"}
+        assert samples == {**expected, **_NEW_COUNTERS}
+        health = service.health()
+        assert {key: health[key] for key in _RECORDED_HEALTH} == \
+            _RECORDED_HEALTH
+        # The stats objects are views of the same counters.
+        assert service.cache_stats() == CacheStats(hits=6, misses=4,
+                                                   evictions=2)
+        assert batcher.stats() == BatcherStats(
+            requests=9, batches=6, rows=17, rejected=1, timeouts=0,
+            shed=0, expired=0, drained=1)
+
+    def test_queue_depth_sums_active_and_canary(self, toy_model, resolver):
+        registry = ModelRegistry()
+        registry.register(toy_model, "m")
+        registry.register(toy_model, "m")
+        registry.set_canary("m", 2, 0.5)
+        service = PredictionService(
+            registry, ServingConfig(batch_wait_s=0.001),
+            instance_resolver=resolver)
+        vectors = np.ones((1, toy_model.registry.n_features))
+        batchers, releases, futures = [], [], []
+        try:
+            # The active batcher is built first, so a gauge bound to the
+            # newest batcher would read the canary's queue alone.
+            for version, queued in ((1, 4), (2, 2)):
+                batcher = service._batcher_for(registry.get("m", version))
+                entered, release = _wedge(batcher)
+                batchers.append(batcher)
+                releases.append(release)
+                futures.append(batcher.submit_async(vectors))
+                assert entered.wait(10.0)
+                futures += [batcher.submit_async(vectors)
+                            for _ in range(queued)]
+            assert [b.queue_depth for b in batchers] == [4, 2]
+            depth = service.metrics.get("t3_serving_queue_depth")
+            assert depth.value == 6
+            assert "t3_serving_queue_depth 6" in service.metrics_text()
+        finally:
+            for release in releases:
+                release.set()
+        for future in futures:
+            future.result(10.0)
+        assert depth.value == 0
+        for batcher in batchers:
+            batcher.close()
