@@ -17,38 +17,34 @@ Eight analyzers behind one driver (``repro-t3 check``):
   dataflow over the multithreaded serving code, plus unbounded
   queue/future/thread waits that would make it unresponsive
   (``LK...``),
-* :mod:`~repro.checks.determinism` — interprocedural taint from
-  nondeterminism sources (clock, ``id()``, unseeded randomness, set
-  order) to seed-critical sinks, and unseeded random calls outside
+* :mod:`~repro.checks.determinism` — ``id()`` keys of persistent
+  containers without pinning, and unseeded random calls outside
   ``repro.rng`` (``DT...``),
-* :mod:`~repro.checks.exceptions` — exception-contract proof: public
-  boundaries and library raises use only
-  :class:`~repro.errors.ReproError` subtypes, the HTTP envelope stays
-  total, load-control errors are never swallowed (``EX...``),
+* :mod:`~repro.checks.exceptions` — library raises use only
+  :class:`~repro.errors.ReproError` subtypes, never the bare base
+  classes, and no handler swallows ``BaseException`` (``EX...``),
 * :mod:`~repro.checks.resources` — must-release analysis over
-  exception edges for locks, futures, pools, handles, and breaker
-  probe slots (``RS...``).
+  exception edges for locks, futures, pools, handles and temp dirs
+  (``RS...``).
 
 Where time goes is not a static question here: ``perfbench`` measures
 it per layer, so there is no cost analyzer.
 
+Every rule is per function or per module; none needs a call graph.
 Shared infrastructure lives in :mod:`~repro.checks.astutils` (AST
-loading and navigation helpers), :mod:`~repro.checks.cfg`
-(per-function control-flow graphs plus a generic forward-dataflow
-solver), :mod:`~repro.checks.callgraph` (project-wide call graph with
-layered call-target resolution), and :mod:`~repro.checks.interproc`
-(bottom-up per-function taint and may-raise summaries over the call
-graph). Findings carry ``file:line``, a stable rule id, and a
-severity; a TOML baseline (``checks_baseline.toml``) grandfathers known
-findings so the driver can gate CI on *new* ones only, and
-``--format sarif`` renders the same findings for code-scanning upload.
+loading, one shared parse of the package, navigation helpers) and
+:mod:`~repro.checks.cfg` (per-function control-flow graphs plus a
+generic forward-dataflow solver). Findings carry ``file:line``, a
+stable rule id, and a severity; a TOML baseline
+(``checks_baseline.toml``) grandfathers known findings so the driver
+can gate CI on *new* ones only, and ``--format sarif`` renders the
+same findings for code-scanning upload.
 
 Generic Python hygiene (bare ``except``, mutable defaults, ``raise``
 without ``from`` in a handler, ``print`` in library code) is ruff's
 job; see ``[tool.ruff.lint]`` in ``pyproject.toml``.
 """
 
-from .callgraph import CallGraph, FunctionInfo, build_call_graph
 from .cfg import CFG, Block, build_cfg, forward_dataflow
 from .codegen_verify import parse_c_source, self_check_model, verify_codegen
 from .concurrency import check_lock_discipline
@@ -65,7 +61,6 @@ from .findings import (
     update_baseline,
     write_baseline,
 )
-from .interproc import compute_raises_summaries, compute_taint_summaries
 from .plan_invariants import check_plan_invariants
 from .resources import check_resource_lifecycles
 from .sarif import render_sarif
@@ -75,15 +70,12 @@ __all__ = [
     "Baseline",
     "Block",
     "CFG",
-    "CallGraph",
     "CheckReport",
     "Finding",
-    "FunctionInfo",
     "RULES",
     "Severity",
     "Suppression",
     "analyze_ensemble",
-    "build_call_graph",
     "build_cfg",
     "check_determinism",
     "check_exception_contracts",
@@ -91,8 +83,6 @@ __all__ = [
     "check_lock_discipline",
     "check_plan_invariants",
     "check_resource_lifecycles",
-    "compute_raises_summaries",
-    "compute_taint_summaries",
     "forward_dataflow",
     "parse_c_source",
     "render_sarif",

@@ -10,13 +10,17 @@ so the analyzers stay about *their* rules, not about AST plumbing.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CheckError
 
 __all__ = [
     "PACKAGE_ROOT",
+    "SourceFunction",
+    "SourceModule",
+    "SourcePackage",
     "constant_str",
     "dotted_name",
     "enum_member",
@@ -25,6 +29,7 @@ __all__ = [
     "innermost_self_attr",
     "iter_py_files",
     "load_module_ast",
+    "load_package",
     "module_assignment",
     "repo_relative",
     "self_attr",
@@ -155,3 +160,103 @@ def enum_member(node: ast.AST) -> Optional[Tuple[str, str]]:
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
         return node.value.id, node.attr
     return None
+
+
+class SourceModule:
+    """One parsed source file of an analyzed package."""
+
+    def __init__(self, name: str, rel_path: str, tree: ast.Module):
+        self.name = name              # dotted, relative to its root
+        self.rel_path = rel_path      # repo-relative, for findings
+        self.tree = tree
+        #: every node of the tree, in :func:`ast.walk` order
+        self.nodes: List[ast.AST] = []
+
+
+class SourceFunction:
+    """One function or method (nested ones included) of a module."""
+
+    def __init__(self, module: SourceModule,
+                 node: Union[ast.FunctionDef, ast.AsyncFunctionDef]):
+        self.module = module
+        self.rel_path = module.rel_path
+        self.node = node
+        self.name = node.name
+        #: every node below the def, breadth-first, except nested defs
+        #: and classes and everything inside them
+        self.statements: List[ast.AST] = []
+
+
+class SourcePackage:
+    """Parsed modules of a package and every function in them.
+
+    One breadth-first walk per module lists its nodes and each
+    function's own statements, so the per-function and per-module
+    rules never walk a tree again.
+    """
+
+    def __init__(self, modules: List[SourceModule]):
+        self.modules = modules
+        self.functions: List[SourceFunction] = []
+        for module in modules:
+            self._index(module)
+
+    def _index(self, module: SourceModule) -> None:
+        # (node, statements of the innermost enclosing function, if any)
+        queue = deque([(module.tree, None)])
+        while queue:
+            node, owner = queue.popleft()
+            module.nodes.append(node)
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    function = SourceFunction(module, child)
+                    self.functions.append(function)
+                    queue.append((child, function.statements))
+                elif isinstance(child, ast.ClassDef):
+                    queue.append((child, None))
+                else:
+                    if owner is not None:
+                        owner.append(child)
+                    queue.append((child, owner))
+
+
+def _module_name(path: Path, root: Path) -> str:
+    rel = path.relative_to(root).with_suffix("")
+    parts = [p for p in rel.parts if p != "__init__"]
+    return ".".join(parts) if parts else "__init__"
+
+
+#: (path, mtime_ns, size) fingerprints -> parsed package.
+_PACKAGE_CACHE: Dict[Tuple[Tuple[str, int, int], ...], SourcePackage] = {}
+
+
+def load_package(roots: Optional[Sequence[Union[str, Path]]] = None
+                 ) -> SourcePackage:
+    """Parse every module under ``roots`` (default: the ``repro``
+    package) once per run: the per-function analyzers share the parse.
+
+    The cache key is the (path, mtime, size) fingerprint of every
+    source file, so tests that write a corpus in place get a fresh
+    parse.
+    """
+    root_paths = [Path(r) for r in (roots or [PACKAGE_ROOT])]
+    files = iter_py_files(root_paths)
+    key = tuple(sorted(
+        (str(p.resolve()), p.stat().st_mtime_ns, p.stat().st_size)
+        for p in files))
+    cached = _PACKAGE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    modules = []
+    for path in files:
+        base = next((r for r in root_paths
+                     if r.is_dir() and r.resolve() in path.resolve().parents),
+                    path.parent)
+        modules.append(SourceModule(_module_name(path, base),
+                                    repo_relative(path),
+                                    load_module_ast(path)))
+    if len(_PACKAGE_CACHE) > 8:   # tests parse many tiny corpora
+        _PACKAGE_CACHE.clear()
+    _PACKAGE_CACHE[key] = SourcePackage(modules)
+    return _PACKAGE_CACHE[key]

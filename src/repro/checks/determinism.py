@@ -1,36 +1,27 @@
-"""DT: determinism-taint analysis (rules DT001-DT010).
+"""DT: determinism rules (DT002, DT003).
 
 T3's replay guarantee — same seed, same inputs, bit-identical outputs —
-only holds if no nondeterministic value ever feeds a seed-critical
-computation. This analyzer proves that statically: it taints the known
-nondeterminism sources (wall clock, ``id()`` addresses, unseeded
-``random``, OS entropy, ``hash()``, set iteration order, process
-identity, environment variables) and tracks them interprocedurally via
-:mod:`repro.checks.interproc` summaries into the seed-critical sinks
-(``repro.rng`` seed derivation, ``repro.faults`` arming,
-``repro.treecomp`` emission).
+holds only if no nondeterministic value feeds a seed-critical
+computation. Two per-function and per-module rules guard the shapes a
+runtime test cannot pin reliably:
 
-Two lexical rules ride along: DT002 also fires on ``id()`` used as the
-key of a *persistent* container without pinning the keyed object in
-the stored value (the PR 4 ``CardinalityModel`` bug: CPython reuses
-addresses after GC, so an unpinned ``id()`` key can alias two distinct
-objects across a run), and DT003 fires on any unseeded random call
-outside ``repro.rng`` regardless of where the value flows: stdlib
-``random``, numpy's legacy module-level ``np.random.*`` functions
-(global state), and an argument-less ``np.random.default_rng()``
-(OS entropy).
+* DT002 fires on ``id()`` used as the key of a *persistent* container
+  without pinning the keyed object in the stored value (an early
+  ``CardinalityModel`` memo had this shape: CPython reuses addresses
+  after GC, so an unpinned ``id()`` key can alias two distinct objects
+  across a run — whether a test sees it depends on the allocator);
+* DT003 fires on any unseeded random call outside ``repro.rng``,
+  wherever its value flows: stdlib ``random``, numpy's legacy
+  module-level ``np.random.*`` functions (global state), and an
+  argument-less ``np.random.default_rng()`` (OS entropy).
+
+A nondeterministic value that reaches a seed sink (``derive_rng``,
+fault arming, C emission) changes the seeded stream, which the pinned
+digests and replay tests catch at runtime (DESIGN §3.2 lists them).
 
 =====  ========================================================
-DT001  wall-clock value reaches a seed-critical sink
-DT002  id() used as persistent key without pinning / reaches sink
+DT002  id() used as persistent key without pinning the object
 DT003  unseeded random call (stdlib / numpy) outside repro.rng
-DT004  OS entropy (urandom/uuid4/secrets) reaches a sink
-DT005  builtin hash() value reaches a sink
-DT006  set iteration order reaches a sink
-DT007  process/thread identity reaches a sink
-DT008  os.environ value reaches a sink
-DT009  set.pop() arbitrary element reaches a sink
-DT010  nondeterministic argument forwarded into a sink via a call
 =====  ========================================================
 """
 
@@ -38,81 +29,47 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
-from .astutils import dotted_name, self_attr
-from .callgraph import CallGraph, FunctionInfo, build_call_graph
+from .astutils import SourceFunction, SourceModule, dotted_name, \
+    load_package, self_attr
 from .findings import Finding, Severity
-from .interproc import SINK_NAMES, SOURCE_KINDS, classify_source, \
-    compute_taint_summaries
 
 __all__ = ["check_determinism"]
 
-#: taint kind -> (rule id, severity) for sink-reaching findings.
-_KIND_RULES: Dict[str, Tuple[str, Severity]] = {
-    "clock": ("DT001", Severity.ERROR),
-    "id": ("DT002", Severity.ERROR),
-    "random": ("DT003", Severity.ERROR),
-    "entropy": ("DT004", Severity.ERROR),
-    "hash": ("DT005", Severity.ERROR),
-    "set-order": ("DT006", Severity.WARNING),
-    "procid": ("DT007", Severity.WARNING),
-    "env": ("DT008", Severity.WARNING),
-    "set-pop": ("DT009", Severity.WARNING),
-}
-
-_ERROR_KINDS = frozenset(k for k, (_, sev) in _KIND_RULES.items()
-                         if sev is Severity.ERROR)
+#: numpy.random module-level functions that use the unseeded global state.
+_LEGACY_NP_RANDOM = frozenset({
+    "rand", "randn", "randint", "random", "random_sample", "ranf", "sample",
+    "choice", "shuffle", "permutation", "seed", "normal", "uniform",
+    "standard_normal", "exponential", "poisson", "binomial", "bytes",
+})
 
 
-def _is_rng_module(module: str) -> bool:
-    return module == "rng" or module.endswith(".rng")
+def _is_unseeded_random(call: ast.Call) -> bool:
+    name = dotted_name(call.func)
+    if name is None:
+        return False
+    if name.startswith("random."):
+        return True
+    parts = name.split(".")
+    if len(parts) != 3 or parts[0] not in ("np", "numpy") \
+            or parts[1] != "random":
+        return False
+    if parts[2] == "default_rng":   # seeded from OS entropy
+        return not call.args and not call.keywords
+    return parts[2] in _LEGACY_NP_RANDOM
 
 
-def _sink_findings(graph: CallGraph) -> List[Finding]:
-    summaries = compute_taint_summaries(graph)
-    findings: List[Finding] = []
-    for qname, summary in summaries.items():
-        info = graph.functions[qname]
-        for hit in summary.hits:
-            contract = SINK_NAMES[hit.sink]
-            if hit.via_call:
-                severity = (Severity.ERROR
-                            if hit.kinds & _ERROR_KINDS
-                            else Severity.WARNING)
-                kinds = ", ".join(
-                    SOURCE_KINDS.get(k, k) for k in sorted(hit.kinds))
-                findings.append(Finding(
-                    "DT010", severity, info.rel_path, hit.line,
-                    f"nondeterministic value ({kinds}) forwarded "
-                    f"through a call into {hit.sink}() "
-                    f"({contract})"))
-                continue
-            for kind in sorted(hit.kinds):
-                rule, severity = _KIND_RULES.get(
-                    kind, ("DT010", Severity.WARNING))
-                findings.append(Finding(
-                    rule, severity, info.rel_path, hit.line,
-                    f"{SOURCE_KINDS.get(kind, kind)} reaches "
-                    f"seed-critical sink {hit.sink}() ({contract})"))
-    return findings
-
-
-def _random_call_findings(graph: CallGraph) -> List[Finding]:
-    findings = []
-    for module in graph.modules.values():
-        if _is_rng_module(module.name):
-            continue
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and \
-                    classify_source(node) == "random":
-                findings.append(Finding(
-                    "DT003", Severity.ERROR, module.rel_path, node.lineno,
-                    f"unseeded random call "
-                    f"{dotted_name(node.func) or '<random>'}() outside "
-                    f"repro.rng; use derive_rng()/make_rng() so the draw "
-                    f"is seeded and replayable"))
-    return findings
+def _random_call_findings(module: SourceModule) -> List[Finding]:
+    if module.name == "rng" or module.name.endswith(".rng"):
+        return []
+    return [Finding(
+        "DT003", Severity.ERROR, module.rel_path, node.lineno,
+        f"unseeded random call {dotted_name(node.func)}() outside "
+        f"repro.rng; use derive_rng()/make_rng() so the draw is seeded "
+        f"and replayable")
+        for node in module.nodes
+        if isinstance(node, ast.Call) and _is_unseeded_random(node)]
 
 
 # -- DT002: id() keys of persistent containers ----------------------------
@@ -170,11 +127,11 @@ def _container_label(node: ast.expr) -> str:
     return dotted_name(node) or "<container>"
 
 
-def _id_key_findings_for(info: FunctionInfo,
-                         module_globals: Set[str]) -> List[Finding]:
+def _id_key_findings(info: SourceFunction,
+                     module_globals: Set[str]) -> List[Finding]:
     #: local var -> names of the objects its id() came from
     id_vars: Dict[str, Set[str]] = {}
-    for node in info.own_statements():
+    for node in info.statements:
         targets: Sequence[ast.expr] = ()
         value: Optional[ast.expr] = None
         if isinstance(node, ast.Assign):
@@ -222,7 +179,7 @@ def _id_key_findings_for(info: FunctionInfo,
             f"the object in the stored value; CPython reuses addresses "
             f"after GC, so the key can alias distinct objects"))
 
-    for node in info.own_statements():
+    for node in info.statements:
         # container[<id-derived key>] = value
         if isinstance(node, ast.Assign):
             for target in node.targets:
@@ -256,29 +213,17 @@ def _id_key_findings_for(info: FunctionInfo,
     return findings
 
 
-def _id_key_findings(graph: CallGraph) -> List[Finding]:
-    findings: List[Finding] = []
-    globals_by_module = {
-        name: _module_globals(module.tree)
-        for name, module in graph.modules.items()}
-    for info in graph.functions.values():
-        findings.extend(_id_key_findings_for(
-            info, globals_by_module.get(info.module, set())))
-    return findings
-
-
 def check_determinism(roots: Optional[Sequence[Union[str, Path]]] = None
                       ) -> List[Finding]:
-    """Run DT001-DT010 over ``roots`` (default: the repro package)."""
-    graph = build_call_graph(roots)
-    findings = (_sink_findings(graph) + _random_call_findings(graph)
-                + _id_key_findings(graph))
-    unique: List[Finding] = []
-    seen: Set[Tuple[str, str, int, str]] = set()
-    for finding in findings:
-        key = (finding.rule, finding.path, finding.line, finding.message)
-        if key not in seen:
-            seen.add(key)
-            unique.append(finding)
-    unique.sort(key=lambda f: (f.path, f.line, f.rule))
-    return unique
+    """Run DT002 and DT003 over ``roots`` (default: the repro package)."""
+    package = load_package(roots)
+    findings: List[Finding] = []
+    for module in package.modules:
+        findings.extend(_random_call_findings(module))
+    for info in package.functions:
+        if any(isinstance(node, ast.Name) and node.id == "id"
+               for node in info.statements):
+            findings.extend(_id_key_findings(
+                info, _module_globals(info.module.tree)))
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    return findings

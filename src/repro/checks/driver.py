@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import CheckError
 from ..trees.boosting import BoostedTreesModel
 from ..trees.serialize import loads_model
-from .callgraph import build_call_graph
 from .codegen_verify import self_check_model, verify_codegen
 from .concurrency import check_lock_discipline
 from .determinism import check_determinism
@@ -50,18 +49,10 @@ EXIT_ANALYZER_CRASH = 3
 #: rule id -> one-line description (the check's contract).
 RULES: Dict[str, str] = {
     "CG000": "codegen verifier could not run",
-    "DT000": "determinism-taint analyzer could not run",
-    "DT001": "wall-clock value reaches a seed-critical sink",
+    "DT000": "determinism analyzer could not run",
     "DT002": "id() key of a persistent container without pinning the object",
     "DT003": "unseeded random call (stdlib random, legacy np.random, "
              "argument-less default_rng) outside repro.rng",
-    "DT004": "OS entropy (urandom/uuid/secrets) reaches a sink",
-    "DT005": "builtin hash() value reaches a sink",
-    "DT006": "set iteration order reaches a sink",
-    "DT007": "process/thread identity reaches a sink",
-    "DT008": "os.environ value reaches a sink",
-    "DT009": "set.pop() arbitrary element reaches a sink",
-    "DT010": "nondeterministic argument forwarded into a sink via a call",
     "CG001": "generated C source cannot be parsed back into a tree",
     "CG002": "tree-function count or numbering mismatch",
     "CG003": "node/leaf structure differs from the trained model",
@@ -85,10 +76,7 @@ RULES: Dict[str, str] = {
     "EA009": "base score is NaN or infinite",
     "EA010": "split feature index outside [0, n_features)",
     "EX000": "exception-contract analyzer could not run",
-    "EX001": "public boundary function may raise a non-ReproError type",
     "EX002": "except BaseException without re-raise",
-    "EX004": "ServingError subclass with no envelope in error_response",
-    "EX005": "broad handler swallows load-control errors",
     "EX006": "raising the bare ReproError/ServingError base class",
     "EX007": "library code raises a type outside the ReproError hierarchy",
     "FS000": "feature-schema detector could not run",
@@ -128,7 +116,6 @@ RULES: Dict[str, str] = {
     "RS003": "file handle not released on every path",
     "RS004": "executor/pool not released on every path",
     "RS005": "unguarded set_result/set_exception on a shared future",
-    "RS006": "breaker probe slot not repaid by record_* on every path",
     "RS007": "socket not released on every path",
     "RS008": "temporary file/directory not released on every path",
 }
@@ -142,8 +129,8 @@ class CheckReport:
     suppressed: List[Finding]
     analyzers_run: List[str]
     elapsed_seconds: float
-    #: seconds per analyzer, plus ``call-graph`` for the shared graph
-    #: build when an interprocedural analyzer ran
+    #: seconds per analyzer; the first of determinism, exceptions and
+    #: resources to run also parses the package for the others
     timings: Dict[str, float] = field(default_factory=dict)
     #: baseline entries that matched no finding this run — dead weight
     #: (the source line moved or the issue was fixed); prune them with
@@ -259,11 +246,6 @@ ANALYZERS: Dict[str, Tuple[str, Callable[[CheckOptions], List[Finding]]]] = {
     "resources": ("RS", lambda opts: check_resource_lifecycles()),
 }
 
-#: Analyzers that walk the shared interprocedural call graph. The driver
-#: builds it once, up front, and times it as its own ``call-graph``
-#: entry, so no analyzer's time includes it.
-_CALL_GRAPH_ANALYZERS = frozenset({"determinism", "exceptions", "resources"})
-
 
 def _selected_analyzers(rules: Optional[Sequence[str]]) -> List[str]:
     """Names of the analyzers a ``--rule`` selection touches.
@@ -329,13 +311,6 @@ def run_checks(rules: Optional[Sequence[str]] = None,
 
     findings: List[Finding] = []
     timings: Dict[str, float] = {}
-    if _CALL_GRAPH_ANALYZERS.intersection(analyzers_run):
-        graph_started = time.perf_counter()
-        try:
-            build_call_graph()
-        except Exception:   # each analyzer meets it again, as its <prefix>000
-            pass
-        timings["call-graph"] = time.perf_counter() - graph_started
     for name in analyzers_run:
         prefix, runner = ANALYZERS[name]
         produced, timings[name] = _run_one(name, prefix, runner, opts)

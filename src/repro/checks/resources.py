@@ -1,4 +1,4 @@
-"""RS: resource-lifecycle analysis (rules RS001-RS008).
+"""RS: resource-lifecycle analysis (rules RS001-RS005, RS007, RS008).
 
 Must-release analysis over the per-function CFGs of
 :mod:`repro.checks.cfg`: a manually acquired resource (lock
@@ -22,13 +22,12 @@ Lock-protocol methods (``__enter__``, ``acquire``, ``lock``, ...)
 return with the lock held by contract and carry no RS001/RS002
 obligation.
 
-RS005 and RS006 are shape rules on top of the same machinery: RS005
-flags ``set_result``/``set_exception`` on a future the function did
-not itself create unless the call is guarded by a ``try`` (another
-resolver may have won the race — ``InvalidStateError``); RS006 proves
-that the circuit-breaker probe slot taken by ``if breaker.allow():``
-is paid back by a ``record_*`` call on every path out of the guarded
-block — the PR 5 probe-slot leak, found in review, now a rule.
+RS005 is a shape rule on top of the same machinery: it flags
+``set_result``/``set_exception`` on a future the function did not
+itself create unless the call is guarded by a ``try`` (another
+resolver may have won the race — ``InvalidStateError``). That a
+circuit breaker's half-open probe slot is repaid on every shed path is
+a runtime test in ``tests/test_faults.py``, not a rule.
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, \
     Union
 
 from ..errors import CheckError
-from .astutils import dotted_name
-from .callgraph import CallGraph, FunctionInfo, build_call_graph, \
-    iter_own_statements
+from .astutils import SourceFunction, dotted_name, load_package
 from .cfg import CFG, WithEnter, WithExit, build_cfg, forward_dataflow
 from .findings import Finding, Severity
 
@@ -72,9 +69,6 @@ _ACQUIRE_SUFFIXES: Dict[str, str] = {
 #: held" (the caller's ``__exit__``/``release`` pays it back).
 _LOCK_PROTOCOL_METHODS = frozenset(
     {"__enter__", "acquire", "acquire_lock", "lock"})
-
-_RECORD_METHODS = frozenset(
-    {"record_success", "record_failure", "record_aborted"})
 
 
 def _acquisition_kind(value: ast.expr) -> Optional[str]:
@@ -150,15 +144,15 @@ def _lock_releases(event: object, receiver: str) -> bool:
     return False
 
 
-def _is_generator(func: ast.AST) -> bool:
+def _is_generator(info: SourceFunction) -> bool:
     return any(isinstance(n, (ast.Yield, ast.YieldFrom))
-               for n in iter_own_statements(func))
+               for n in info.statements)
 
 
-def _acquisitions(info: FunctionInfo) -> List[Tuple[str, str, int]]:
+def _acquisitions(info: SourceFunction) -> List[Tuple[str, str, int]]:
     """(kind, var name, line) for every manual acquisition assignment."""
     out: List[Tuple[str, str, int]] = []
-    for node in info.own_statements():
+    for node in info.statements:
         targets: Sequence[ast.expr] = ()
         value: Optional[ast.expr] = None
         if isinstance(node, ast.Assign):
@@ -260,7 +254,7 @@ def _statement_region(func: ast.AST, try_nodes: Sequence[ast.Try]
     return lines
 
 
-def _exception_unsafe(info: FunctionInfo, name: str, acquired_line: int,
+def _exception_unsafe(info: SourceFunction, name: str, acquired_line: int,
                       is_lock: bool) -> Optional[int]:
     """Line of the first risky, unprotected statement — or ``None``.
 
@@ -272,7 +266,7 @@ def _exception_unsafe(info: FunctionInfo, name: str, acquired_line: int,
     covered = _statement_region(
         info.node, _releasing_trys(info.node, name, is_lock))
     last_discharge = 0
-    for node in info.own_statements():
+    for node in info.statements:
         line = getattr(node, "lineno", 0)
         if line <= acquired_line:
             continue
@@ -282,7 +276,7 @@ def _exception_unsafe(info: FunctionInfo, name: str, acquired_line: int,
             last_discharge = max(last_discharge, line)
     if last_discharge == 0:
         return None   # never discharged: the CFG pass owns this case
-    for node in info.own_statements():
+    for node in info.statements:
         line = getattr(node, "lineno", 0)
         if not (acquired_line < line < last_discharge):
             continue
@@ -298,13 +292,13 @@ def _exception_unsafe(info: FunctionInfo, name: str, acquired_line: int,
     return None
 
 
-def _lifecycle_findings(info: FunctionInfo) -> List[Finding]:
-    if _is_generator(info.node):
+def _lifecycle_findings(info: SourceFunction) -> List[Finding]:
+    if _is_generator(info):
         return []
     tokens = _acquisitions(info)
     lock_tokens: List[Tuple[str, int]] = []
     if info.name not in _LOCK_PROTOCOL_METHODS:
-        for node in info.own_statements():
+        for node in info.statements:
             if isinstance(node, (ast.Expr, ast.Assign)):
                 receiver = _lock_acquire_target(node)
                 if receiver is not None:
@@ -354,9 +348,9 @@ def _lifecycle_findings(info: FunctionInfo) -> List[Finding]:
 # -- RS005: unguarded future resolution -----------------------------------
 
 
-def _local_future_names(info: FunctionInfo) -> Set[str]:
+def _local_future_names(info: SourceFunction) -> Set[str]:
     names: Set[str] = set()
-    for node in info.own_statements():
+    for node in info.statements:
         targets: Sequence[ast.expr] = ()
         value: Optional[ast.expr] = None
         if isinstance(node, ast.Assign):
@@ -372,7 +366,11 @@ def _local_future_names(info: FunctionInfo) -> Set[str]:
     return names
 
 
-def _future_findings(info: FunctionInfo) -> List[Finding]:
+def _future_findings(info: SourceFunction) -> List[Finding]:
+    if not any(isinstance(node, ast.Attribute)
+               and node.attr in ("set_result", "set_exception")
+               for node in info.statements):
+        return []
     local = _local_future_names(info)
     findings = []
 
@@ -424,77 +422,13 @@ def _future_findings(info: FunctionInfo) -> List[Finding]:
     return findings
 
 
-# -- RS006: breaker probe slots --------------------------------------------
-
-
-def _probe_findings(info: FunctionInfo) -> List[Finding]:
-    findings = []
-    for node in info.own_statements():
-        if not isinstance(node, ast.If):
-            continue
-        test = node.test
-        if not (isinstance(test, ast.Call)
-                and isinstance(test.func, ast.Attribute)
-                and test.func.attr == "allow"):
-            continue
-        receiver = dotted_name(test.func.value)
-        if receiver is None:
-            continue
-        synthetic = ast.FunctionDef(
-            name=f"<{info.name}:allow@{node.lineno}>",
-            args=ast.arguments(posonlyargs=[], args=[], kwonlyargs=[],
-                               kw_defaults=[], defaults=[]),
-            body=list(node.body), decorator_list=[],
-            lineno=node.lineno, col_offset=node.col_offset)
-        try:
-            cfg = build_cfg(synthetic)
-        except CheckError:
-            continue   # break/continue into an outer loop: skip
-
-        def transfer(state: FrozenSet[str],
-                     event: object) -> FrozenSet[str]:
-            if not isinstance(event, ast.AST):
-                return state
-            for call in [c for c in ast.walk(event)
-                         if isinstance(c, ast.Call)]:
-                if isinstance(call.func, ast.Attribute) and \
-                        call.func.attr in _RECORD_METHODS and \
-                        dotted_name(call.func.value) == receiver:
-                    return state - {"probe"}
-                for arg in list(call.args) + [kw.value
-                                              for kw in call.keywords]:
-                    if dotted_name(arg) == receiver:
-                        return state - {"probe"}   # handed off
-            return state
-
-        states = forward_dataflow(cfg, transfer, frozenset({"probe"}),
-                                  lambda a, b: a | b)
-        if "probe" in states[CFG.EXIT]:
-            findings.append(Finding(
-                "RS006", Severity.ERROR, info.rel_path, node.lineno,
-                f"breaker probe slot taken by {receiver}.allow() is not "
-                f"released by record_success/record_failure/"
-                f"record_aborted on every path out of the guarded "
-                f"block; a leaked slot wedges the breaker half-open"))
-    return findings
-
-
 def check_resource_lifecycles(
         roots: Optional[Sequence[Union[str, Path]]] = None
         ) -> List[Finding]:
-    """Run RS001-RS008 over ``roots`` (default: the repro package)."""
-    graph: CallGraph = build_call_graph(roots)
+    """Run the RS rules over ``roots`` (default: the repro package)."""
     findings: List[Finding] = []
-    for info in graph.functions.values():
+    for info in load_package(roots).functions:
         findings.extend(_lifecycle_findings(info))
         findings.extend(_future_findings(info))
-        findings.extend(_probe_findings(info))
-    unique: List[Finding] = []
-    seen: Set[Tuple[str, str, int, str]] = set()
-    for finding in findings:
-        key = (finding.rule, finding.path, finding.line, finding.message)
-        if key not in seen:
-            seen.add(key)
-            unique.append(finding)
-    unique.sort(key=lambda f: (f.path, f.line, f.rule))
-    return unique
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    return findings

@@ -12,10 +12,8 @@ Subcommands cover the library's end-to-end workflow:
   query against a corpus instance,
 * ``predict``   — predict the execution time of a SQL query,
 * ``serve``     — run the online prediction service (HTTP),
-* ``check``     — run the static-analysis suite (codegen verifier,
-  feature-schema drift, plan invariants, ensemble analysis,
-  concurrency checking, determinism taint, exception contracts,
-  resource lifecycles).
+* ``check``     — run the static analyzers of :mod:`repro.checks`
+  (``--list-rules`` lists what each one checks).
 
 Example session::
 

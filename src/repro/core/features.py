@@ -146,6 +146,19 @@ class FeatureRegistry:
             self._register(f"{prefix}_count")
             for suffix in _STAGE_FEATURES.get((op_type, stage), ()):
                 self._register(f"{prefix}_{suffix}")
+        self._build_stage_plans()
+
+    # The extractors are closures, which pickle cannot store. They are
+    # derived from the declarations, so a pickle carries only the index
+    # and unpickling resolves the stage plans again.
+    def __getstate__(self) -> Dict[str, Dict[str, int]]:
+        return {"_index": self._index}
+
+    def __setstate__(self, state: Dict[str, Dict[str, int]]) -> None:
+        self._index = state["_index"]
+        self._build_stage_plans()
+
+    def _build_stage_plans(self) -> None:
         self._stage_plans: Dict[Tuple[OperatorType, Stage], _StagePlan] = {}
         for op_type, stage in all_operator_stage_pairs():
             prefix = f"{op_type.value}_{stage.value}"

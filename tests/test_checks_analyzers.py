@@ -222,10 +222,10 @@ def test_run_checks_repo_is_clean():
     assert report.analyzers_run == [
         "codegen", "feature-schema", "plan-invariants", "ensemble",
         "concurrency", "determinism", "exceptions", "resources"]
-    # CI's perf gate allows 10s for the whole suite including the
-    # interprocedural passes; leave headroom for slow runners here.
+    # CI's perf gate allows 10s for the whole suite; leave headroom for
+    # slow runners here.
     assert report.elapsed_seconds < 10.0
-    assert set(report.timings) == set(report.analyzers_run) | {"call-graph"}
+    assert set(report.timings) == set(report.analyzers_run)
     assert all(seconds >= 0.0 for seconds in report.timings.values())
 
 

@@ -29,7 +29,7 @@ def test_check_json_format(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"] == []
     assert set(payload["analyzers"]) == _ALL_ANALYZERS
-    assert set(payload["analyzer_seconds"]) == _ALL_ANALYZERS | {"call-graph"}
+    assert set(payload["analyzer_seconds"]) == _ALL_ANALYZERS
 
 
 def test_check_sarif_format(capsys):
@@ -57,11 +57,12 @@ def test_check_list_rules(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ("CG001", "FS001", "LK001", "LK011", "PI001", "PI012",
-                 "EA001", "EA010", "DT001", "DT010", "EX001", "EX007",
+                 "EA001", "EA010", "DT002", "DT003", "EX002", "EX007",
                  "RS001", "RS008"):
         assert rule in out
     for retired in ("PL001", "RT001", "LK006", "EX003", "HP001", "HP007",
-                    "HP009", "HP010"):
+                    "HP009", "HP010", "DT001", "DT010", "EX001", "EX004",
+                    "EX005", "RS006"):
         assert retired not in out
 
 

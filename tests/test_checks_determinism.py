@@ -1,17 +1,24 @@
-"""Determinism-taint analyzer (DT rules): planted defects and clean twins.
+"""Determinism analyzer (DT rules): planted defects and clean twins.
 
 Each rule gets a corpus that fires it and a near-identical corpus that
-does not — the clean twin is what separates dataflow from grep. The
-seeded-mutation test reintroduces the PR 4 ``CardinalityModel`` bug
-(an ``id()``-keyed memo that does not pin the keyed object) and asserts
+does not. The seeded-mutation tests reintroduce the ``CardinalityModel``
+memo bug (an ``id()``-keyed memo that does not pin the keyed object),
+in a reduction and in the real ``engine/cardinality.py``, and assert
 DT002 flags it, while the shipped pinned shape stays clean.
 """
 
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.checks.determinism import check_determinism
+
+_CARDINALITY_SOURCE = (
+    Path(__file__).resolve().parents[1]
+    / "src" / "repro" / "engine" / "cardinality.py")
 
 
 def _findings(tmp_path, files):
@@ -24,42 +31,6 @@ def _findings(tmp_path, files):
 
 def _rules(tmp_path, files):
     return {f.rule for f in _findings(tmp_path, files)}
-
-
-# ---------------------------------------------------------------------------
-# DT001 — wall clock into a sink
-# ---------------------------------------------------------------------------
-
-
-def test_dt001_clock_reaches_sink(tmp_path):
-    findings = _findings(tmp_path, {"mod.py": """
-        import time
-
-        def seed(derive_seed):
-            t = time.time()
-            derive_seed(t)
-    """})
-    assert {f.rule for f in findings} == {"DT001"}
-    assert "wall-clock" in findings[0].message
-
-
-def test_dt001_interprocedural_through_helper(tmp_path):
-    assert "DT001" in _rules(tmp_path, {"mod.py": """
-        import time
-
-        def now():
-            return time.time()
-
-        def seed(derive_seed):
-            derive_seed(now())
-    """})
-
-
-def test_dt001_clean_constant_seed(tmp_path):
-    assert _rules(tmp_path, {"mod.py": """
-        def seed(derive_seed):
-            derive_seed(42)
-    """}) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +80,29 @@ def test_dt002_seeded_pr4_memo_mutation_flagged(tmp_path):
 
 def test_dt002_pinned_memo_is_clean(tmp_path):
     assert "DT002" not in _rules(tmp_path, {"model.py": _PR4_FIXED})
+
+
+@pytest.mark.parametrize("pinned", [
+    "self._memo[key] = (op, value)",
+    "self._selectivities[id(predicate)] = (predicate, value)",
+])
+def test_dt002_seeded_unpinned_memo_in_real_cardinality_source(tmp_path,
+                                                              pinned):
+    # Drop the pinned object from one of the real memo writes: the
+    # shipped engine/cardinality.py is clean, the mutant fires DT002 at
+    # exactly the planted line.
+    source = _CARDINALITY_SOURCE.read_text()
+    assert source.count(pinned) == 1
+    line = source[:source.index(pinned)].count("\n") + 1
+    corpus = tmp_path / "engine"
+    corpus.mkdir()
+    (corpus / "cardinality.py").write_text(source)
+    assert check_determinism(roots=[tmp_path]) == []
+    unpinned = pinned.replace("(op,", "(None,").replace(
+        "(predicate,", "(None,")
+    (corpus / "cardinality.py").write_text(source.replace(pinned, unpinned))
+    findings = check_determinism(roots=[tmp_path])
+    assert [(f.rule, f.line) for f in findings] == [("DT002", line)]
 
 
 def test_dt002_module_global_container(tmp_path):
@@ -183,79 +177,6 @@ def test_dt003_seeded_numpy_generator_is_clean(tmp_path):
             def entropy_rng():
                 return np.random.default_rng()
         """})
-
-
-# ---------------------------------------------------------------------------
-# DT004/DT005 — entropy and hash() into sinks
-# ---------------------------------------------------------------------------
-
-
-def test_dt004_urandom_reaches_sink(tmp_path):
-    assert "DT004" in _rules(tmp_path, {"mod.py": """
-        import os
-
-        def seed(derive_seed):
-            derive_seed(os.urandom(8))
-    """})
-
-
-def test_dt005_hash_reaches_sink(tmp_path):
-    assert "DT005" in _rules(tmp_path, {"mod.py": """
-        def seed(derive_seed, name):
-            derive_seed(hash(name))
-    """})
-
-
-# ---------------------------------------------------------------------------
-# DT006 — set iteration order into a sink
-# ---------------------------------------------------------------------------
-
-
-def test_dt006_set_order_reaches_sink(tmp_path):
-    assert "DT006" in _rules(tmp_path, {"mod.py": """
-        def schedule(derive_seed, names):
-            pending = set(names)
-            order = list(pending)
-            derive_seed(*order)
-    """})
-
-
-def test_dt006_sorted_set_is_clean(tmp_path):
-    assert _rules(tmp_path, {"mod.py": """
-        def schedule(derive_seed, names):
-            pending = set(names)
-            order = sorted(pending)
-            derive_seed(*order)
-    """}) == set()
-
-
-# ---------------------------------------------------------------------------
-# DT010 — taint forwarded through a call into a sink
-# ---------------------------------------------------------------------------
-
-
-def test_dt010_forwarded_through_callee(tmp_path):
-    findings = [f for f in _findings(tmp_path, {"mod.py": """
-        import time
-
-        def arm(value):
-            FaultSpec(value)
-
-        def trigger():
-            arm(time.time())
-    """}) if f.rule == "DT010"]
-    assert len(findings) == 1
-    assert "forwarded" in findings[0].message
-
-
-def test_dt010_clean_when_argument_is_constant(tmp_path):
-    assert _rules(tmp_path, {"mod.py": """
-        def arm(value):
-            FaultSpec(value)
-
-        def trigger():
-            arm(17)
-    """}) == set()
 
 
 # ---------------------------------------------------------------------------

@@ -95,22 +95,12 @@ def test_rule_prefix_selects_whole_analyzers():
     assert both.analyzers_run == ["determinism", "resources"]
 
 
-def test_shared_call_graph_is_timed_on_its_own(monkeypatch):
-    """The call graph the interprocedural analyzers share is built once,
-    before them, and timed as ``call-graph``; an analyzer's entry covers
-    only its own pass."""
-    built = []
-    real_build = driver_mod.build_call_graph
-    monkeypatch.setattr(driver_mod, "build_call_graph",
-                        lambda: built.append(1) or real_build())
-    report = run_checks(rules=["DT"])
-    assert list(report.timings) == ["call-graph", "determinism"]
-    assert built == [1]
+def test_timings_cover_exactly_the_analyzers_run():
+    report = run_checks(rules=["DT", "FS"])
+    assert list(report.timings) == ["feature-schema", "determinism"]
     payload = json.loads(report.render("json"))
-    assert set(payload["analyzer_seconds"]) == {"call-graph", "determinism"}
-    report = run_checks(rules=["FS"])
-    assert list(report.timings) == ["feature-schema"]
-    assert built == [1]
+    assert set(payload["analyzer_seconds"]) == {"feature-schema",
+                                                 "determinism"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Exception-contract analyzer (EX rules): planted defects and clean twins.
 
 Fixture corpora place modules under ``serving/`` so they fall inside the
-boundary packages; each defines a local ``ReproError`` hierarchy, which
-the analyzer resolves by name exactly as it does the real one.
+scope packages; each defines a local ``ReproError`` hierarchy, which
+the analyzer resolves by name exactly as it does the real one. The
+seeded-mutation tests plant past defects in the real sources.
 """
 
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 from repro.checks.exceptions import check_exception_contracts
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 _ERRORS = """
     class ReproError(Exception):
@@ -38,7 +42,8 @@ def _rules(tmp_path, files):
 
 
 # ---------------------------------------------------------------------------
-# EX001 — untyped escape from a public boundary function
+# An untyped escape from a serving boundary: EX007 flags the raise itself,
+# however many private helpers it passes on its way out
 # ---------------------------------------------------------------------------
 
 
@@ -48,13 +53,13 @@ def test_ex001_untyped_escape_from_boundary(tmp_path):
             if x < 0:
                 raise RuntimeError("negative")
             return x
-    """}) if f.rule == "EX001"]
-    assert len(findings) == 1
+    """}) if f.rule == "EX007"]
+    assert [f.line for f in findings] == [4]
     assert "RuntimeError" in findings[0].message
 
 
 def test_ex001_typed_escape_is_clean(tmp_path):
-    assert "EX001" not in _rules(tmp_path, {"serving/api.py": """
+    assert _rules(tmp_path, {"serving/api.py": """
         from errors import ServingError
 
         class PredictError(ServingError):
@@ -64,13 +69,11 @@ def test_ex001_typed_escape_is_clean(tmp_path):
             if x < 0:
                 raise PredictError("negative")
             return x
-    """})
+    """}) == set()
 
 
 def test_ex001_escape_through_private_helper(tmp_path):
-    # The raise is two calls deep in private helpers; the summary
-    # still carries it to the public boundary.
-    assert "EX001" in _rules(tmp_path, {"serving/api.py": """
+    findings = _findings(tmp_path, {"serving/api.py": """
         def _deep(x):
             raise KeyError(x)
 
@@ -80,26 +83,7 @@ def test_ex001_escape_through_private_helper(tmp_path):
         def predict(x):
             return _mid(x)
     """})
-
-
-def test_ex001_handler_discharges_the_contract(tmp_path):
-    assert "EX001" not in _rules(tmp_path, {"serving/api.py": """
-        def _deep(x):
-            raise KeyError(x)
-
-        def predict(x):
-            try:
-                return _deep(x)
-            except KeyError:
-                return None
-    """})
-
-
-def test_ex001_outside_boundary_packages_is_exempt(tmp_path):
-    assert "EX001" not in _rules(tmp_path, {"engine/core.py": """
-        def evaluate(x):
-            raise RuntimeError("engine internals may stay untyped")
-    """})
+    assert [(f.rule, f.line) for f in findings] == [("EX007", 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,83 +143,6 @@ def test_ex007_typed_raises_are_clean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# EX004 — ServingError subclass with no envelope mapping
-# ---------------------------------------------------------------------------
-
-_ENVELOPE = """
-    from errors import QueueFullError, ReproError, ServingError
-
-    class UnmappedError(ServingError):
-        pass
-
-    def error_response(exc):
-        if isinstance(exc, QueueFullError):
-            return 429, "queue_full"
-        if isinstance(exc, ReproError):
-            return 400, "bad_request"
-        return 500, "internal_error"
-"""
-
-
-def test_ex004_unmapped_serving_subclass(tmp_path):
-    findings = [f for f in _findings(
-        tmp_path, {"serving/front.py": _ENVELOPE})
-        if f.rule == "EX004"]
-    assert len(findings) == 1
-    assert "UnmappedError" in findings[0].message
-
-
-def test_ex004_mapped_ancestor_suffices(tmp_path):
-    # LoadShed subclassing QueueFullError inherits its 429 mapping.
-    assert "EX004" not in _rules(tmp_path, {"serving/front.py": """
-        from errors import QueueFullError, ReproError
-
-        class LoadShedError(QueueFullError):
-            pass
-
-        def error_response(exc):
-            if isinstance(exc, QueueFullError):
-                return 429, "queue_full"
-            if isinstance(exc, ReproError):
-                return 400, "bad_request"
-            return 500, "internal_error"
-    """})
-
-
-# ---------------------------------------------------------------------------
-# EX005 — broad handler swallows load-control errors
-# ---------------------------------------------------------------------------
-
-
-def test_ex005_swallowed_load_control(tmp_path):
-    assert "EX005" in _rules(tmp_path, {"serving/api.py": """
-        from errors import QueueFullError
-
-        def submit(queue, item):
-            try:
-                queue.put(item)
-                raise QueueFullError("full")
-            except Exception:
-                return None
-    """})
-
-
-def test_ex005_earlier_specific_handler_is_clean(tmp_path):
-    assert "EX005" not in _rules(tmp_path, {"serving/api.py": """
-        from errors import QueueFullError
-
-        def submit(queue, item):
-            try:
-                queue.put(item)
-                raise QueueFullError("full")
-            except QueueFullError:
-                raise
-            except Exception:
-                return None
-    """})
-
-
-# ---------------------------------------------------------------------------
 # EX006 — raising the bare base class
 # ---------------------------------------------------------------------------
 
@@ -258,6 +165,42 @@ def test_ex006_subtype_raise_is_clean(tmp_path):
         def predict(x):
             raise QueueFullError("shedding")
     """})
+
+
+# ---------------------------------------------------------------------------
+# seeded mutations of the real sources
+# ---------------------------------------------------------------------------
+
+
+def _seeded(tmp_path, rel, anchor, replacement):
+    """Findings on the real ``rel`` (beside the real ``errors.py``) with
+    ``anchor`` replaced."""
+    source = (_SRC / rel).read_text()
+    assert anchor in source
+    line = source[:source.index(anchor)].count("\n") + 1
+    mutated = source.replace(anchor, replacement, 1)
+    return line, _findings(tmp_path, {
+        "errors.py": (_SRC / "errors.py").read_text(), rel: mutated})
+
+
+def test_ex006_seeded_bare_serving_error_in_real_service(tmp_path):
+    # Non-finite backend output was once raised as the bare
+    # ServingError; it is the typed NonFinitePredictionError now.
+    line, findings = _seeded(
+        tmp_path, "serving/service.py",
+        "raise NonFinitePredictionError(", "raise ServingError(")
+    assert [(f.rule, f.line) for f in findings] == [("EX006", line)]
+
+
+def test_ex002_seeded_swallowed_cleanup_in_real_compiler(tmp_path):
+    # compile_model's workdir cleanup catches BaseException; without
+    # its re-raise a failed build (or Ctrl-C) would return normally.
+    line, findings = _seeded(
+        tmp_path, "treecomp/compiler.py",
+        "        shutil.rmtree(workdir, ignore_errors=True)\n        raise\n",
+        "        shutil.rmtree(workdir, ignore_errors=True)\n")
+    assert [f.rule for f in findings] == ["EX002"]
+    assert findings[0].line == line - 1   # the except clause
 
 
 # ---------------------------------------------------------------------------

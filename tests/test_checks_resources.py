@@ -1,10 +1,9 @@
 """Resource-lifecycle analyzer (RS rules): planted defects and clean twins.
 
-The seeded-mutation test reintroduces the PR 5 probe-slot leak by
-stripping the ``record_aborted()`` repayment from the *real*
-``serving/service.py`` source and asserting RS006 flags the mutated
-corpus while the shipped source stays clean — the analyzer guards the
-actual code shape, not a toy reduction of it.
+The seeded-mutation test reintroduces the ``compile_model`` temp-dir
+leak in the *real* ``treecomp/compiler.py`` source and asserts
+RS008 flags the mutated corpus while the shipped source stays clean —
+the analyzer guards the actual code shape, not a toy reduction of it.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from pathlib import Path
 
 from repro.checks.resources import check_resource_lifecycles
 
-_SERVICE_SOURCE = (
+_COMPILER_SOURCE = (
     Path(__file__).resolve().parents[1]
-    / "src" / "repro" / "serving" / "service.py")
+    / "src" / "repro" / "treecomp" / "compiler.py")
 
 
 def _findings(tmp_path, files):
@@ -200,6 +199,18 @@ def test_rs004_attribute_assignment_transfers_ownership(tmp_path):
     """}) == set()
 
 
+def test_rs007_socket_leaked_on_early_return(tmp_path):
+    assert _rules(tmp_path, {"mod.py": """
+        import socket
+
+        def ping(address, flag):
+            sock = socket.create_connection(address)
+            if flag:
+                return None
+            sock.close()
+    """}) == {"RS007"}
+
+
 def test_rs008_tempdir_leaked_on_exception_path(tmp_path):
     # The PR 5 compile_model shape: mkdtemp, fallible work that never
     # touches the directory variable, cleanup only on the happy path —
@@ -271,63 +282,34 @@ def test_rs005_locally_created_future_is_clean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# RS006 — breaker probe slots (the PR 5 leak, as a rule)
+# RS008 — the compile_model workdir leak, seeded in the real source
 # ---------------------------------------------------------------------------
 
 
-def test_rs006_probe_slot_not_repaid_on_raise_path(tmp_path):
-    assert "RS006" in _rules(tmp_path, {"mod.py": """
-        class Service:
-            def infer(self, breaker, submit):
-                if breaker.allow():
-                    try:
-                        return submit()
-                    except Exception:
-                        pass
-                return None
-    """})
-
-
-def test_rs006_every_path_repaid_is_clean(tmp_path):
-    assert "RS006" not in _rules(tmp_path, {"mod.py": """
-        class Service:
-            def infer(self, breaker, submit):
-                if breaker.allow():
-                    try:
-                        result = submit()
-                    except Exception:
-                        breaker.record_failure()
-                    else:
-                        breaker.record_success()
-                        return result
-                return None
-    """})
-
-
-def test_rs006_seeded_pr5_mutation_in_real_service_source(tmp_path):
-    # Strip the record_aborted() repayment from the real service.py:
-    # the shed-path re-raise then leaks the half-open probe slot —
-    # exactly the PR 5 bug before review caught it.
-    source = _SERVICE_SOURCE.read_text()
-    assert "breaker.record_aborted()" in source
-    mutated = "\n".join(
-        line for line in source.splitlines()
-        if "breaker.record_aborted()" not in line)
-    corpus = tmp_path / "serving"
+def test_rs008_seeded_workdir_leak_in_real_compiler(tmp_path):
+    # Drop the cleanup handler around the build, as compile_model once
+    # stood: a failed write or compile then leaves the directory
+    # behind, since only the normal path hands it to the model.
+    source = _COMPILER_SOURCE.read_text()
+    guard = "    try:\n        source_path = workdir"
+    cleanup = ("    except BaseException:\n"
+               "        shutil.rmtree(workdir, ignore_errors=True)\n"
+               "        raise\n")
+    assert source.count(guard) == 1 and source.count(cleanup) == 1
+    line = next(number for number, text
+                in enumerate(source.splitlines(), start=1)
+                if "tempfile.mkdtemp(" in text)
+    corpus = tmp_path / "treecomp"
     corpus.mkdir()
-    (corpus / "service.py").write_text(mutated)
-    findings = [f for f in check_resource_lifecycles(roots=[tmp_path])
-                if f.rule == "RS006"]
-    assert len(findings) == 1
-    assert "probe slot" in findings[0].message
-
-
-def test_real_service_source_is_rs006_clean(tmp_path):
-    corpus = tmp_path / "serving"
-    corpus.mkdir()
-    (corpus / "service.py").write_text(_SERVICE_SOURCE.read_text())
-    assert [f for f in check_resource_lifecycles(roots=[tmp_path])
-            if f.rule == "RS006"] == []
+    (corpus / "compiler.py").write_text(source)
+    assert check_resource_lifecycles(roots=[tmp_path]) == []
+    mutated = source.replace(
+        guard, "    if True:\n        source_path = workdir").replace(
+        cleanup, "")
+    (corpus / "compiler.py").write_text(mutated)
+    findings = check_resource_lifecycles(roots=[tmp_path])
+    assert [(f.rule, f.line) for f in findings] == [("RS008", line)]
+    assert "may never be released" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for target transformation and dataset assembly."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from repro.core.dataset import (
     cardinality_model_for,
     split_by_family,
 )
+from repro.core.features import FeatureRegistry
+from repro.experiments.cache import DiskCache
 
 
 class TestTargets:
@@ -101,6 +105,31 @@ class TestDataset:
         root = corpus_query.plan.root
         assert exact.output_cardinality(root) >= 0
         assert distorted.output_cardinality(root) >= 0
+
+
+class TestPickling:
+    """The experiment cache pickles datasets, and a dataset carries its
+    registry, whose stage plans hold extractor closures."""
+
+    def test_registry_and_dataset_round_trip(self, toy_workload, tmp_path):
+        queries = toy_workload[:6]
+        registry = FeatureRegistry()
+        dataset = build_dataset(queries, registry=registry)
+        copied = pickle.loads(pickle.dumps(registry))
+        DiskCache(tmp_path).get_or_build("dataset", lambda: dataset)
+        cached = DiskCache(tmp_path).get_or_build(
+            "dataset", lambda: pytest.fail("cache entry was not written"))
+        for other in (copied, pickle.loads(pickle.dumps(dataset)).registry,
+                      cached.registry):
+            assert other.feature_names() == registry.feature_names()
+            for query in queries:
+                model = cardinality_model_for(query)
+                expected = registry.vectors_for_plan(query.plan, model)
+                actual = other.vectors_for_plan(query.plan, model)
+                for want, got in zip(expected, actual):
+                    assert want.tobytes() == got.tobytes()
+        assert cached.X.tobytes() == dataset.X.tobytes()
+        assert cached.y.tobytes() == dataset.y.tobytes()
 
 
 class TestTargetModes:

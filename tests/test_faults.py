@@ -19,6 +19,7 @@ from repro.errors import (
     DeadlineExceeded,
     InjectedFaultError,
     LoadShedError,
+    QueueFullError,
     RequestTimeoutError,
     ServiceClosedError,
 )
@@ -684,6 +685,32 @@ class TestDegradationChain:
         result = service.predict(SQL, "toy")
         assert result.degraded is True
         assert service.injector.fire_counts()["batcher.evaluate"] == before
+
+    def test_shed_returns_the_half_open_probe_slot(self, toy_model,
+                                                   resolver, monkeypatch):
+        """A request that ``allow()`` admitted as a half-open probe but
+        that the batcher sheds never reached the artifact: the service
+        must hand the slot back (``record_aborted``), or a single-probe
+        breaker stays half-open with ``allow()`` False forever."""
+        service = make_service(toy_model, resolver)
+        entry = service.registry.get("toy-model")
+        clock = _FakeClock()
+        breaker = CircuitBreaker(entry.key, min_samples=1,
+                                 half_open_probes=1, clock=clock)
+        service._breakers[entry.key] = breaker
+        breaker.record_failure()
+        clock.now += 60.0
+        assert breaker.state is BreakerState.HALF_OPEN
+        batcher = service._batcher_for(entry)
+        for shed in (QueueFullError, ServiceClosedError):
+            def submit(*args, _shed=shed, **kwargs):
+                raise _shed("shed before evaluation")
+            monkeypatch.setattr(batcher, "submit", submit)
+            with pytest.raises(shed):
+                service.predict(SQL, "toy")
+            assert breaker.allow(), f"{shed.__name__} leaked the probe slot"
+            breaker.record_aborted()
+        assert breaker.state is BreakerState.HALF_OPEN
 
     def test_expired_deadline_sheds_and_counts(self, toy_model, resolver):
         service = make_service(toy_model, resolver)

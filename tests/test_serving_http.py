@@ -12,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
+import repro.faults  # noqa: F401  (its ServingError subclasses count)
 from repro.errors import (
     ModelNotFoundError,
     QueueFullError,
     ReproError,
     RequestTimeoutError,
     SchemaError,
+    ServingError,
 )
 from repro.core.model import T3Config, T3Model
 from repro.serving import (
@@ -92,6 +94,20 @@ class TestErrorMapping:
         assert error_response(SchemaError("x")) == (400, "bad_request")
         assert error_response(ReproError("x")) == (400, "bad_request")
         assert error_response(RuntimeError("x")) == (500, "internal_error")
+
+    def test_every_serving_error_has_its_own_envelope(self):
+        """A ``ServingError`` subclass with no ``isinstance`` arm in
+        ``error_response`` falls through to the generic 400 and hides
+        its meaning from clients; an inherited arm counts."""
+        subclasses, queue = [], list(ServingError.__subclasses__())
+        while queue:
+            cls = queue.pop()
+            subclasses.append(cls)
+            queue.extend(cls.__subclasses__())
+        assert len(subclasses) >= 8
+        for cls in subclasses:
+            code = error_response(cls("x"))[1]
+            assert code not in ("bad_request", "internal_error"), cls
 
 
 class TestHTTPEndpoints:
