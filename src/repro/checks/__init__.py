@@ -1,15 +1,10 @@
 """Static-analysis subsystem: prove T3's invariants without running them.
 
-Eight analyzers behind one driver (``repro-t3 check``):
+Six analyzers behind one driver (``repro-t3 check``):
 
 * :mod:`~repro.checks.codegen_verify` — parse generated C back into a
   tree structure and verify structural equivalence with the trained
   model (rules ``CG...``),
-* :mod:`~repro.checks.feature_schema` — detect drift between feature
-  declarations, emit sites, and persisted models (``FS...``),
-* :mod:`~repro.checks.plan_invariants` — prove the pipeline
-  decomposition total and well-shaped, percentage features normalised,
-  cardinalities clamped, and the target transform finite (``PI...``),
 * :mod:`~repro.checks.ensemble_analyze` — interval analysis over
   trained ensembles: dead branches, unreachable leaves, non-finite
   decodes, float32 near-ties (``EA...``),
@@ -28,7 +23,11 @@ Eight analyzers behind one driver (``repro-t3 check``):
   (``RS...``).
 
 Where time goes is not a static question here: ``perfbench`` measures
-it per layer, so there is no cost analyzer.
+it per layer, so there is no cost analyzer. Nor are the feature layout
+and the pipeline invariants: :class:`~repro.core.features.FeatureRegistry`
+refuses a bad declaration when it is built, ``T3Model.load`` refuses a
+model with a foreign layout, and tests run the real decomposer over
+plans holding every operator type.
 
 Every rule is per function or per module; none needs a call graph.
 Shared infrastructure lives in :mod:`~repro.checks.astutils` (AST
@@ -52,7 +51,6 @@ from .determinism import check_determinism
 from .driver import ANALYZERS, RULES, CheckReport, run_checks
 from .ensemble_analyze import analyze_ensemble
 from .exceptions import check_exception_contracts
-from .feature_schema import check_feature_schema
 from .findings import (
     Baseline,
     Finding,
@@ -61,7 +59,6 @@ from .findings import (
     update_baseline,
     write_baseline,
 )
-from .plan_invariants import check_plan_invariants
 from .resources import check_resource_lifecycles
 from .sarif import render_sarif
 
@@ -79,9 +76,7 @@ __all__ = [
     "build_cfg",
     "check_determinism",
     "check_exception_contracts",
-    "check_feature_schema",
     "check_lock_discipline",
-    "check_plan_invariants",
     "check_resource_lifecycles",
     "forward_dataflow",
     "parse_c_source",

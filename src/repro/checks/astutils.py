@@ -2,9 +2,9 @@
 
 Every analyzer in :mod:`repro.checks` reads Python source into
 :mod:`ast` trees and asks the same small questions — "is this
-``self.x``?", "what dotted name is being called?", "where is the
-module-level assignment to ``NAME``?". This module owns those answers
-so the analyzers stay about *their* rules, not about AST plumbing.
+``self.x``?", "what dotted name is being called?". This module owns
+those answers, and the one shared parse of the package, so the
+analyzers stay about *their* rules, not about AST plumbing.
 """
 
 from __future__ import annotations
@@ -21,33 +21,16 @@ __all__ = [
     "SourceFunction",
     "SourceModule",
     "SourcePackage",
-    "constant_str",
     "dotted_name",
-    "enum_member",
-    "find_class_function",
-    "find_function",
     "innermost_self_attr",
     "iter_py_files",
-    "load_module_ast",
     "load_package",
-    "module_assignment",
     "repo_relative",
     "self_attr",
 ]
 
 #: Root of the installed ``repro`` package (``src/repro``).
 PACKAGE_ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_module_ast(path: Union[str, Path]) -> ast.Module:
-    """Parse one source file, raising :class:`CheckError` on failure."""
-    path = Path(path)
-    if not path.exists():
-        raise CheckError(f"source file not found: {path}")
-    try:
-        return ast.parse(path.read_text(), filename=str(path))
-    except SyntaxError as exc:
-        raise CheckError(f"cannot parse {path}: {exc}") from exc
 
 
 def repo_relative(path: Union[str, Path]) -> str:
@@ -93,40 +76,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def module_assignment(tree: ast.Module, name: str) -> Optional[ast.expr]:
-    """Value expression of the module-level assignment to ``name``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            targets: Sequence[ast.expr] = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        else:
-            continue
-        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
-            return node.value
-    return None
-
-
-def find_class_function(tree: ast.Module, cls: str,
-                        name: str) -> ast.FunctionDef:
-    """Locate method ``name`` of class ``cls``; raises if absent."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == cls:
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == name:
-                    return item
-    raise CheckError(f"{cls}.{name} not found")
-
-
-def find_function(tree: ast.AST, name: str) -> ast.FunctionDef:
-    """Locate the (possibly nested) function definition ``name``."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name == name:
-                return node  # type: ignore[return-value]
-    raise CheckError(f"function {name} not found")
-
-
 def iter_py_files(roots: Iterable[Union[str, Path]]) -> List[Path]:
     """All ``.py`` files under the given roots, sorted and deduplicated."""
     files: List[Path] = []
@@ -146,20 +95,6 @@ def iter_py_files(roots: Iterable[Union[str, Path]]) -> List[Path]:
             seen.add(resolved)
             unique.append(path)
     return unique
-
-
-def constant_str(node: ast.AST) -> Optional[str]:
-    """The value of a string-literal node, else ``None``."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def enum_member(node: ast.AST) -> Optional[Tuple[str, str]]:
-    """``EnumName.MEMBER`` attribute -> ``("EnumName", "MEMBER")``."""
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-        return node.value.id, node.attr
-    return None
 
 
 class SourceModule:
@@ -253,9 +188,12 @@ def load_package(roots: Optional[Sequence[Union[str, Path]]] = None
         base = next((r for r in root_paths
                      if r.is_dir() and r.resolve() in path.resolve().parents),
                     path.parent)
+        try:
+            tree = ast.parse(path.read_text(), filename=str(path))
+        except SyntaxError as exc:
+            raise CheckError(f"cannot parse {path}: {exc}") from exc
         modules.append(SourceModule(_module_name(path, base),
-                                    repo_relative(path),
-                                    load_module_ast(path)))
+                                    repo_relative(path), tree))
     if len(_PACKAGE_CACHE) > 8:   # tests parse many tiny corpora
         _PACKAGE_CACHE.clear()
     _PACKAGE_CACHE[key] = SourcePackage(modules)

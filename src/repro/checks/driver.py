@@ -23,7 +23,6 @@ from .concurrency import check_lock_discipline
 from .determinism import check_determinism
 from .ensemble_analyze import analyze_ensemble
 from .exceptions import check_exception_contracts
-from .feature_schema import check_feature_schema
 from .findings import (
     Baseline,
     Finding,
@@ -32,7 +31,6 @@ from .findings import (
     render_json,
     render_text,
 )
-from .plan_invariants import check_plan_invariants
 from .resources import check_resource_lifecycles
 from .sarif import render_sarif
 
@@ -79,13 +77,6 @@ RULES: Dict[str, str] = {
     "EX002": "except BaseException without re-raise",
     "EX006": "raising the bare ReproError/ServingError base class",
     "EX007": "library code raises a type outside the ReproError hierarchy",
-    "FS000": "feature-schema detector could not run",
-    "FS001": "feature emitted by the extractor but never declared",
-    "FS002": "feature declared but never emitted",
-    "FS003": "feature index/order drift between layouts",
-    "FS004": "persisted model n_features mismatch",
-    "FS005": "declared (operator, stage) pair the engine never produces",
-    "FS006": "duplicate feature within one stage declaration",
     "LK000": "concurrency checker could not run",
     "LK001": "attribute guarded elsewhere but accessed with no lock held",
     "LK002": "shared mutable attribute never accessed under a lock",
@@ -97,19 +88,6 @@ RULES: Dict[str, str] = {
     "LK009": "queue get() with no timeout (unbounded block)",
     "LK010": "future result() with no timeout (unbounded block)",
     "LK011": "thread join() with no timeout (unbounded block)",
-    "PI000": "plan-invariant verifier could not run",
-    "PI001": "operator missing stage declaration or physical class",
-    "PI002": "operator declared both binary and materializing",
-    "PI003": "operator no pipeline-decomposition branch can handle",
-    "PI004": "declared stages disagree with the pipeline decomposer",
-    "PI005": "malformed stage tuple (not one of the legal shapes)",
-    "PI006": "pipeline-breaker BUILD append without pipeline completion",
-    "PI007": "fresh pipeline does not start with a scan stage",
-    "PI008": "probe stage declared for an operator that cannot be probed",
-    "PI009": "percentage feature emitted without dividing by start",
-    "PI010": "expression percentages do not partition the classes",
-    "PI011": "cardinality model missing non-negativity/selectivity clamp",
-    "PI012": "target-transform bounds not finite or clip missing",
     "RS000": "resource-lifecycle analyzer could not run",
     "RS001": "manually acquired lock may still be held at exit",
     "RS002": "lock released only on the normal path (exception-unsafe)",
@@ -236,9 +214,6 @@ def _run_ensemble(opts: CheckOptions) -> List[Finding]:
 #: analyzer name -> (rule-id prefix, runner taking the shared options).
 ANALYZERS: Dict[str, Tuple[str, Callable[[CheckOptions], List[Finding]]]] = {
     "codegen": ("CG", _run_codegen),
-    "feature-schema": ("FS", lambda opts: check_feature_schema(
-        model_path=opts.model_path)),
-    "plan-invariants": ("PI", lambda opts: check_plan_invariants()),
     "ensemble": ("EA", _run_ensemble),
     "concurrency": ("LK", lambda opts: check_lock_discipline()),
     "determinism": ("DT", lambda opts: check_determinism()),
@@ -300,9 +275,9 @@ def run_checks(rules: Optional[Sequence[str]] = None,
     ``rules`` filters by full id (``LK001``) or analyzer prefix
     (``LK``); empty means everything. ``baseline`` may be a path or a
     loaded :class:`Baseline`. ``model_path`` feeds the codegen
-    verifier, the ensemble analyzer, and the schema drift detector a
-    persisted model to cross-check; ``check_unused_features``
-    additionally turns on EA006 for that model.
+    verifier and the ensemble analyzer a persisted model to check;
+    ``check_unused_features`` additionally turns on EA006 for that
+    model.
     """
     started = time.perf_counter()
     analyzers_run = _selected_analyzers(rules)

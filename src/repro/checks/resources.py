@@ -15,8 +15,9 @@ Two classifications per leaked token:
   reaches the function exit with the obligation still open;
 * **exception-unsafe** (WARNING): every explicit path releases, but a
   statement between acquisition and release can raise while no
-  enclosing ``try`` releases the resource in a handler or ``finally``
-  — the PR 5 ``compile_model`` workdir leak shape.
+  enclosing ``try`` releases the resource in its ``finally`` or in a
+  catch-all handler (bare, ``Exception`` or ``BaseException``) — the
+  PR 5 ``compile_model`` workdir leak shape.
 
 Lock-protocol methods (``__enter__``, ``acquire``, ``lock``, ...)
 return with the lock held by contract and carry no RS001/RS002
@@ -222,16 +223,33 @@ def _may_leak(cfg: CFG, tokens: Sequence[Tuple[str, str, int]],
     return states[CFG.EXIT]
 
 
+#: Handler types that catch whatever the try body raises.
+_CATCH_ALL = frozenset({"BaseException", "Exception"})
+
+
+def _catches_all(handler: ast.ExceptHandler) -> bool:
+    if handler.type is None:
+        return True
+    types = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+             else [handler.type])
+    return any(dotted_name(t) in _CATCH_ALL for t in types)
+
+
 def _releasing_trys(func: ast.AST, name: str,
                     is_lock: bool) -> List[ast.Try]:
-    """Trys whose handler or finally releases ``name``."""
+    """Trys whose finally, or a catch-all handler, releases ``name``.
+
+    A handler for a narrower type does not protect the resource: an
+    exception it does not catch leaves the try without the release.
+    """
     out = []
     for node in ast.walk(func):
         if not isinstance(node, ast.Try):
             continue
         protected: List[ast.stmt] = list(node.finalbody)
         for handler in node.handlers:
-            protected.extend(handler.body)
+            if _catches_all(handler):
+                protected.extend(handler.body)
         for stmt in protected:
             released = (_lock_releases(stmt, name) if is_lock
                         else _event_discharges(stmt, name))
@@ -261,7 +279,7 @@ def _exception_unsafe(info: SourceFunction, name: str, acquired_line: int,
     A statement is risky when it contains a call (so it can raise),
     sits after the acquisition, is not itself a discharge of the
     resource, and is not inside a ``try`` that releases the resource
-    in a handler or ``finally``.
+    in its ``finally`` or a catch-all handler.
     """
     covered = _statement_region(
         info.node, _releasing_trys(info.node, name, is_lock))

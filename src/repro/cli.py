@@ -12,8 +12,9 @@ Subcommands cover the library's end-to-end workflow:
   query against a corpus instance,
 * ``predict``   — predict the execution time of a SQL query,
 * ``serve``     — run the online prediction service (HTTP),
-* ``check``     — run the static analyzers of :mod:`repro.checks`
-  (``--list-rules`` lists what each one checks).
+* ``check``     — run the six static analyzers of :mod:`repro.checks`
+  (``--list-rules`` lists what each one checks; ``--model`` adds a saved
+  model's generated C and ensemble).
 
 Example session::
 
@@ -166,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="log every HTTP request to stderr")
 
     check = subcommands.add_parser(
-        "check", help="run the eight static analyzers over the repo")
+        "check", help="run the six static analyzers over the repo")
     check.add_argument("--rule", action="append", dest="rules", default=[],
                        metavar="RULE",
                        help="run only this rule id (LK001) or analyzer "
@@ -180,8 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--no-baseline", action="store_true",
                        help="ignore any baseline file")
     check.add_argument("--model", default=None,
-                       help="saved model JSON to cross-check against the "
-                            "generated C and the live feature schema")
+                       help="saved model JSON whose generated C (CG) and "
+                            "ensemble (EA) to check")
     check.add_argument("--check-unused-features", action="store_true",
                        help="with --model: also warn (EA006) about schema "
                             "features no tree ever splits on")

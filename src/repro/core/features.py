@@ -33,26 +33,25 @@ from ..engine.pipelines import (
 )
 from ..engine.stages import OperatorType, Stage, all_operator_stage_pairs
 
-#: Table-scan expression classes with dedicated percentage features.
-_EXPRESSION_CLASSES = (
-    ExpressionKind.COMPARISON,
-    ExpressionKind.BETWEEN,
-    ExpressionKind.IN_LIST,
-    ExpressionKind.LIKE,
-    ExpressionKind.OTHER,
+#: Table-scan expression classes, each with its percentage feature. A
+#: predicate of a kind not listed here counts as ``OTHER``.
+_EXPRESSION_FEATURES: Tuple[Tuple[ExpressionKind, str], ...] = (
+    (ExpressionKind.COMPARISON, "expr_comparison_percentage"),
+    (ExpressionKind.BETWEEN, "expr_between_percentage"),
+    (ExpressionKind.IN_LIST, "expr_in_percentage"),
+    (ExpressionKind.LIKE, "expr_like_percentage"),
+    (ExpressionKind.OTHER, "expr_other_percentage"),
 )
 
 #: Per-class fractions before any predicate is evaluated.
-_NO_FRACTIONS = {kind: 0.0 for kind in _EXPRESSION_CLASSES}
+_NO_FRACTIONS = {kind: 0.0 for kind, _ in _EXPRESSION_FEATURES}
 
 #: Basic features per (operator, stage), beyond the implicit ``count``.
 #: Names follow the paper's ``<stream>_<kind>`` convention.
 _STAGE_FEATURES: Dict[Tuple[OperatorType, Stage], Tuple[str, ...]] = {
     (OperatorType.TABLE_SCAN, Stage.SCAN): (
         "in_card", "in_size", "out_percentage",
-        "expr_comparison_percentage", "expr_between_percentage",
-        "expr_in_percentage", "expr_like_percentage",
-        "expr_other_percentage"),
+        *(name for _, name in _EXPRESSION_FEATURES)),
     (OperatorType.FILTER, Stage.PASS_THROUGH): (
         "in_percentage", "out_percentage", "expr_weight"),
     (OperatorType.MAP, Stage.PASS_THROUGH): (
@@ -118,17 +117,17 @@ class _StagePlan:
     lookups or suffix dispatch.
     """
 
-    __slots__ = ("count_index", "extractors", "expression_indices")
+    __slots__ = ("count_index", "extractors", "expressions")
 
     def __init__(self, count_index: int,
                  extractors: Tuple[Tuple[int, _Extractor], ...],
-                 expression_indices: Tuple[Tuple[int, str], ...]):
+                 expressions: Tuple[Tuple[int, ExpressionKind], ...]):
         self.count_index = count_index
         #: (column, extractor) per basic feature, in declared order
         self.extractors = extractors
-        #: (column, key) per ``expr_*`` feature, filled from the one
-        #: :meth:`FeatureRegistry._expression_percentages` call per stage
-        self.expression_indices = expression_indices
+        #: (column, kind) per expression feature, filled from the one
+        #: :meth:`FeatureRegistry._expression_fractions` call per stage
+        self.expressions = expressions
 
 
 class FeatureRegistry:
@@ -136,12 +135,22 @@ class FeatureRegistry:
 
     Feature names are ``<Operator>_<Stage>_<basic feature>``, e.g.
     ``HashJoin_Probe_right_percentage`` — the exact naming of the
-    paper's Listings 3 and 4.
+    paper's Listings 3 and 4. Construction raises :class:`FeatureError`
+    for a declaration on a stage no operator has, a declared feature
+    with no extractor (an expression feature outside a table scan has
+    none), or a feature declared twice in one stage.
     """
 
     def __init__(self):
+        pairs = all_operator_stage_pairs()
+        dead = [pair for pair in _STAGE_FEATURES if pair not in pairs]
+        if dead:
+            raise FeatureError(
+                "_STAGE_FEATURES declares features for stages no operator "
+                "has: " + ", ".join(f"({op_type.value}, {stage.value})"
+                                    for op_type, stage in dead))
         self._index: Dict[str, int] = {}
-        for op_type, stage in all_operator_stage_pairs():
+        for op_type, stage in pairs:
             prefix = f"{op_type.value}_{stage.value}"
             self._register(f"{prefix}_count")
             for suffix in _STAGE_FEATURES.get((op_type, stage), ()):
@@ -159,22 +168,28 @@ class FeatureRegistry:
         self._build_stage_plans()
 
     def _build_stage_plans(self) -> None:
+        expression_kinds = {name: kind for kind, name in _EXPRESSION_FEATURES}
         self._stage_plans: Dict[Tuple[OperatorType, Stage], _StagePlan] = {}
         for op_type, stage in all_operator_stage_pairs():
             prefix = f"{op_type.value}_{stage.value}"
             extractors = []
-            expression_indices = []
+            expressions = []
             for suffix in _STAGE_FEATURES.get((op_type, stage), ()):
                 index = self._index[f"{prefix}_{suffix}"]
-                extract = self._basic_feature_extractor(suffix, op_type,
-                                                        stage)
-                if extract is None:
-                    expression_indices.append((index, suffix))
+                kind = expression_kinds.get(suffix)
+                if kind is None:
+                    extractors.append((index, self._basic_feature_extractor(
+                        suffix, op_type, stage)))
+                elif op_type is OperatorType.TABLE_SCAN:
+                    expressions.append((index, kind))
                 else:
-                    extractors.append((index, extract))
+                    raise FeatureError(
+                        f"expression feature {suffix!r} declared for "
+                        f"({op_type.value}, {stage.value}); only table "
+                        "scans evaluate expression classes")
             self._stage_plans[(op_type, stage)] = _StagePlan(
                 self._index[f"{prefix}_count"], tuple(extractors),
-                tuple(expression_indices))
+                tuple(expressions))
 
     def _register(self, name: str) -> None:
         if name in self._index:
@@ -285,17 +300,17 @@ class FeatureRegistry:
             row[index] += extract(flow, op, start)
         # A scan without predicates evaluates no expressions: every
         # percentage is 0.0, and adding 0.0 changes no bit of the row.
-        if plan.expression_indices and op.predicates:
-            expr = self._expression_percentages(op, start, model)
-            for index, key in plan.expression_indices:
-                row[index] += expr[key]
+        if plan.expressions and op.predicates:
+            fractions, scale = self._expression_fractions(op, start, model)
+            for index, kind in plan.expressions:
+                row[index] += fractions[kind] * scale
 
     @staticmethod
     def _basic_feature_extractor(suffix: str, op_type: OperatorType,
-                                 stage: Stage) -> Optional[_Extractor]:
+                                 stage: Stage) -> _Extractor:
         """The extractor of basic feature ``suffix`` of one ``(operator,
-        stage)`` pair; ``None`` for the ``expr_*`` features, which
-        :meth:`_expression_percentages` computes together per stage."""
+        stage)`` pair (the expression features have none:
+        :meth:`_expression_fractions` computes them together per stage)."""
         if suffix == "in_card":
             if stage is Stage.PROBE:
                 return lambda flow, op, start: flow.state_cardinality
@@ -331,14 +346,14 @@ class FeatureRegistry:
             return lambda flow, op, start: (
                 sum(p.evaluation_cost_weight() for p in op.predicates)
                 * (flow.tuples_in / start))
-        if suffix.startswith("expr_"):
-            return None
         raise FeatureError(f"no extractor for basic feature {suffix!r}")
 
-    def _expression_percentages(self, op: PTableScan, start: float,
-                                model: CardinalityModel) -> Dict[str, float]:
+    def _expression_fractions(self, op: PTableScan, start: float,
+                              model: CardinalityModel
+                              ) -> Tuple[Dict[ExpressionKind, float], float]:
         """Per-class fractions of scanned tuples each predicate class is
-        evaluated on (short-circuit conjunction, Section 3)."""
+        evaluated on (short-circuit conjunction, Section 3), and the
+        scale from scanned tuples to the pipeline's start."""
         fractions = _NO_FRACTIONS.copy()   # a copy skips rehashing the keys
         surviving = 1.0
         for predicate in op.predicates:
@@ -348,14 +363,7 @@ class FeatureRegistry:
             fractions[kind] += surviving
             surviving *= model.predicate_selectivity(predicate)
         scale = model.base_cardinality(op) / start if start else 1.0
-        return {
-            "expr_comparison_percentage":
-                fractions[ExpressionKind.COMPARISON] * scale,
-            "expr_between_percentage": fractions[ExpressionKind.BETWEEN] * scale,
-            "expr_in_percentage": fractions[ExpressionKind.IN_LIST] * scale,
-            "expr_like_percentage": fractions[ExpressionKind.LIKE] * scale,
-            "expr_other_percentage": fractions[ExpressionKind.OTHER] * scale,
-        }
+        return fractions, scale
 
 
 _DEFAULT: FeatureRegistry = None

@@ -276,13 +276,21 @@ class T3Model:
         """Load a persisted model.
 
         A ``"codegen"`` field in documents saved by older versions is
-        ignored: every model compiles with the one emitter.
+        ignored: every model compiles with the one emitter. A model
+        whose feature count or saved ``feature_names`` differ from this
+        build's registry raises :class:`SchemaError`.
         """
         payload = json.loads(Path(path).read_text())
         booster = loads_model(json.dumps(payload["model"]))
+        registry = default_registry()
+        if booster.n_features != registry.n_features:
+            raise SchemaError(
+                f"persisted model reads {booster.n_features} features but "
+                f"this build's registry declares {registry.n_features}; "
+                "retrain it against this build")
         saved_names = payload.get("feature_names")
         if saved_names is not None:
-            live_names = default_registry().feature_names()
+            live_names = registry.feature_names()
             if saved_names != live_names:
                 raise SchemaError(
                     "persisted model was trained against a different "

@@ -1,4 +1,4 @@
-"""Feature-schema, repo-convention, baseline, and driver tests.
+"""Repo-convention, baseline, and driver tests.
 
 Seeded-violation sources prove each analyzer actually fires; the
 repo-level runs prove the codebase itself is clean. The repo's lint
@@ -6,8 +6,9 @@ conventions live in two places: generic hygiene (bare except, mutable
 defaults, print, ``raise`` without ``from``) is ruff's, and the
 T3-specific ones — typed errors (EX007) and seeded randomness (DT003)
 — are analyzer rules, tested here through their analyzers. (The
-concurrency, plan-invariant, ensemble, CFG, and SARIF layers have
-their own test modules.)
+concurrency, ensemble, CFG, and SARIF layers have their own test
+modules.) The driver tests use a ``--model`` document with a NaN leaf
+as their finding.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.checks import (
     Suppression,
     check_determinism,
     check_exception_contracts,
-    check_feature_schema,
     run_checks,
 )
 from repro.checks.findings import update_baseline, write_baseline
@@ -117,60 +117,6 @@ def test_repo_passes_its_own_lint():
 
 
 # ---------------------------------------------------------------------------
-# feature schema
-# ---------------------------------------------------------------------------
-
-def test_repo_feature_schema_is_clean():
-    assert check_feature_schema() == []
-
-
-_FEATURES_SOURCE = _ERRORS_SOURCE.parent / "core" / "features.py"
-
-
-@pytest.mark.parametrize("rule, anchor, replacement", [
-    # an extractor branch for a feature no stage declares
-    ("FS001", 'if suffix == "out_card":',
-     'if suffix == "bogus_card":\n            return None\n'
-     '        if suffix == "out_card":'),
-    # an expression-percentage key no stage declares
-    ("FS001", '"expr_other_percentage": fractions',
-     '"expr_bogus_percentage": fractions[ExpressionKind.OTHER] * scale,\n'
-     '            "expr_other_percentage": fractions'),
-    # a declared feature whose extractor branch is gone
-    ("FS002", 'if suffix == "out_card":', 'if suffix == "out_cardinality":'),
-    # declaration order drifts from the live registry
-    ("FS003", '(OperatorType.SORT, Stage.SCAN): ("in_card", "out_percentage"),',
-     '(OperatorType.SORT, Stage.SCAN): ("out_percentage", "in_card"),'),
-    # a declared (operator, stage) pair the engine never produces
-    ("FS005", '(OperatorType.UNION, Stage.SCAN): ("in_card",),',
-     '(OperatorType.UNION, Stage.PROBE): ("in_card",),'),
-    # one feature declared twice for one stage
-    ("FS006", '"n_aggregates", "n_keys"),', '"n_aggregates", "n_keys", "n_keys"),'),
-])
-def test_feature_schema_rule_fires_on_seeded_mutation(tmp_path, rule, anchor,
-                                                      replacement):
-    """Each FS rule fires on one planted defect in a copy of the real
-    featurizer, so the detector keeps reading the extractor's shape."""
-    source = _FEATURES_SOURCE.read_text()
-    assert source.count(anchor) == 1, anchor
-    mutated = tmp_path / "features.py"
-    mutated.write_text(source.replace(anchor, replacement))
-    assert rule in {f.rule for f in check_feature_schema(mutated)}
-
-
-def test_model_file_drift_detected(tmp_path):
-    stale = tmp_path / "stale_model.json"
-    stale.write_text(json.dumps({
-        "model": {"n_features": 3},
-        "feature_names": ["bogus_a", "bogus_b"],
-    }))
-    findings = check_feature_schema(model_path=str(stale))
-    rules = {f.rule for f in findings}
-    assert "FS004" in rules  # wrong n_features
-    assert "FS003" in rules  # diverging names
-
-
-# ---------------------------------------------------------------------------
 # baseline
 # ---------------------------------------------------------------------------
 
@@ -220,8 +166,8 @@ def test_run_checks_repo_is_clean():
     assert report.suppressed == []
     assert report.stale_suppressions == []
     assert report.analyzers_run == [
-        "codegen", "feature-schema", "plan-invariants", "ensemble",
-        "concurrency", "determinism", "exceptions", "resources"]
+        "codegen", "ensemble", "concurrency", "determinism", "exceptions",
+        "resources"]
     # CI's perf gate allows 10s for the whole suite; leave headroom for
     # slow runners here.
     assert report.elapsed_seconds < 10.0
@@ -241,55 +187,53 @@ def test_run_checks_unknown_rule_is_typed_error():
         run_checks(rules=["ZZ999"])
 
 
-def test_run_checks_nonzero_exit_on_seeded_drift(tmp_path):
-    stale = tmp_path / "stale_model.json"
-    stale.write_text(json.dumps({"model": {"n_features": 3}}))
-    report = run_checks(rules=["FS"], model_path=str(stale))
-    assert report.exit_code == 1
-    assert {f.rule for f in report.findings} == {"FS004"}
-
-
-def test_run_checks_baseline_restores_zero_exit(tmp_path):
-    stale = tmp_path / "stale_model.json"
-    stale.write_text(json.dumps({"model": {"n_features": 3}}))
-    baseline = Baseline([Suppression(rule="FS004")])
-    report = run_checks(rules=["FS"], model_path=str(stale),
-                        baseline=baseline)
-    assert report.exit_code == 0
-    assert [f.rule for f in report.suppressed] == ["FS004"]
-
-
-def test_report_json_rendering(tmp_path):
-    stale = tmp_path / "stale_model.json"
-    stale.write_text(json.dumps({"model": {"n_features": 3}}))
-    report = run_checks(rules=["FS"], model_path=str(stale))
-    payload = json.loads(report.render("json"))
-    assert payload["counts"]["errors"] == 1
-    assert payload["findings"][0]["rule"] == "FS004"
-    assert payload["analyzers"] == ["feature-schema"]
-    assert set(payload["analyzer_seconds"]) == {"feature-schema"}
-    assert payload["exit_code"] == 1
-
-
-def test_report_rejects_unknown_format():
-    with pytest.raises(CheckError):
-        run_checks(rules=["LK"]).render("yaml")
-
-
-def _small_model_doc(tmp_path):
-    """A valid 1-tree model that splits on f0 but never on f1."""
+def _small_model_doc(tmp_path, leaf=0.1):
+    """A 1-tree model that splits on f0 but never on f1; a NaN ``leaf``
+    makes it an EA003 finding."""
     from repro.trees.boosting import BoostedTreesModel
     from repro.trees.serialize import dumps_model
     from repro.trees.tree import Tree, TreeNode
 
     tree = Tree.from_nodes([
         TreeNode(feature=0, threshold=1.0, left=1, right=2),
-        TreeNode(value=0.1),
+        TreeNode(value=leaf),
         TreeNode(value=0.2),
     ])
     path = tmp_path / "small_model.json"
     path.write_text(dumps_model(BoostedTreesModel([tree], 0.0, 2)))
     return str(path)
+
+
+def test_run_checks_nonzero_exit_on_seeded_drift(tmp_path):
+    poisoned = _small_model_doc(tmp_path, leaf=float("nan"))
+    report = run_checks(rules=["EA"], model_path=poisoned)
+    assert report.exit_code == 1
+    assert {f.rule for f in report.findings} == {"EA003"}
+
+
+def test_run_checks_baseline_restores_zero_exit(tmp_path):
+    poisoned = _small_model_doc(tmp_path, leaf=float("nan"))
+    baseline = Baseline([Suppression(rule="EA003")])
+    report = run_checks(rules=["EA"], model_path=poisoned,
+                        baseline=baseline)
+    assert report.exit_code == 0
+    assert [f.rule for f in report.suppressed] == ["EA003"]
+
+
+def test_report_json_rendering(tmp_path):
+    poisoned = _small_model_doc(tmp_path, leaf=float("nan"))
+    report = run_checks(rules=["EA"], model_path=poisoned)
+    payload = json.loads(report.render("json"))
+    assert payload["counts"]["errors"] == 1
+    assert payload["findings"][0]["rule"] == "EA003"
+    assert payload["analyzers"] == ["ensemble"]
+    assert set(payload["analyzer_seconds"]) == {"ensemble"}
+    assert payload["exit_code"] == 1
+
+
+def test_report_rejects_unknown_format():
+    with pytest.raises(CheckError):
+        run_checks(rules=["LK"]).render("yaml")
 
 
 def test_unused_feature_check_is_opt_in(tmp_path):
@@ -309,16 +253,16 @@ def test_analyzer_crash_exits_3_not_1():
     # A missing model file makes the model-consuming analyzers raise;
     # the driver converts that into <prefix>000 findings and a distinct
     # exit code so CI can tell broken checker from broken code.
-    report = run_checks(rules=["FS"],
+    report = run_checks(rules=["EA"],
                         model_path="/nonexistent/model.json")
     assert report.exit_code == 3
-    assert [f.rule for f in report.findings] == ["FS000"]
+    assert [f.rule for f in report.findings] == ["EA000"]
     assert "model file not found" in report.findings[0].message
 
 
 def test_analyzer_crash_findings_are_baselinable():
-    baseline = Baseline([Suppression(rule="FS000")])
-    report = run_checks(rules=["FS"],
+    baseline = Baseline([Suppression(rule="EA000")])
+    report = run_checks(rules=["EA"],
                         model_path="/nonexistent/model.json",
                         baseline=baseline)
     assert report.exit_code == 0

@@ -4,7 +4,7 @@ CI's perf gate re-runs the suite with a shell timer and fails above
 10 s; this test enforces the same budget in-process and writes the
 per-analyzer breakdown to ``BENCH_checks.json`` at the repo root
 (gitignored, uploaded as a CI artifact) so the cost of each of the
-eight analyzers is tracked over time.
+six analyzers is tracked over time.
 """
 
 from __future__ import annotations
@@ -31,6 +31,6 @@ def test_full_check_run_fits_ci_budget_and_records_timings():
         "budget_seconds": MAX_SECONDS,
     }
     RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    assert len(report.analyzers_run) == 8
+    assert len(report.analyzers_run) == 6
     assert set(report.timings) == set(report.analyzers_run)
     assert report.elapsed_seconds < MAX_SECONDS

@@ -7,15 +7,23 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.trees.boosting import BoostedTreesModel
+from repro.trees.serialize import dumps_model
+from repro.trees.tree import Tree, TreeNode
 
-_ALL_ANALYZERS = {"codegen", "feature-schema", "plan-invariants",
-                  "ensemble", "concurrency", "determinism", "exceptions",
-                  "resources"}
+_ALL_ANALYZERS = {"codegen", "ensemble", "concurrency", "determinism",
+                  "exceptions", "resources"}
 
 
-def _stale_model(tmp_path):
-    path = tmp_path / "stale_model.json"
-    path.write_text(json.dumps({"model": {"n_features": 3}}))
+def _nan_threshold_model(tmp_path):
+    """A saved model with a NaN threshold: an EA008 finding."""
+    tree = Tree.from_nodes([
+        TreeNode(feature=0, threshold=float("nan"), left=1, right=2),
+        TreeNode(value=0.1),
+        TreeNode(value=0.2),
+    ])
+    path = tmp_path / "nan_model.json"
+    path.write_text(dumps_model(BoostedTreesModel([tree], 0.0, 2)))
     return str(path)
 
 
@@ -53,16 +61,23 @@ def test_check_unknown_rule_fails(capsys):
     assert "unknown rule" in capsys.readouterr().err
 
 
+def test_check_retired_fs_and_pi_rules_are_unknown(capsys):
+    # The FeatureRegistry, T3Model.load and the decomposer's tests now
+    # guard what the feature-schema and plan-invariant analyzers did.
+    for retired in ("FS", "PI", "FS004", "PI010"):
+        assert main(["check", "--rule", retired]) == 1
+        assert f"unknown rule(s) {retired}" in capsys.readouterr().err
+
+
 def test_check_list_rules(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("CG001", "FS001", "LK001", "LK011", "PI001", "PI012",
-                 "EA001", "EA010", "DT002", "DT003", "EX002", "EX007",
-                 "RS001", "RS008"):
+    for rule in ("CG001", "LK001", "LK011", "EA001", "EA010", "DT002",
+                 "DT003", "EX002", "EX007", "RS001", "RS008"):
         assert rule in out
     for retired in ("PL001", "RT001", "LK006", "EX003", "HP001", "HP007",
                     "HP009", "HP010", "DT001", "DT010", "EX001", "EX004",
-                    "EX005", "RS006"):
+                    "EX005", "RS006", "FS000", "FS006", "PI000", "PI012"):
         assert retired not in out
 
 
@@ -98,42 +113,42 @@ def test_check_warns_on_stale_suppression(tmp_path, capsys):
 
 
 def test_check_seeded_drift_exits_nonzero(tmp_path, capsys):
-    stale = _stale_model(tmp_path)
-    assert main(["check", "--rule", "FS", "--model", stale]) == 1
-    assert "FS004" in capsys.readouterr().out
+    model = _nan_threshold_model(tmp_path)
+    assert main(["check", "--rule", "EA", "--model", model]) == 1
+    assert "EA008" in capsys.readouterr().out
 
 
 def test_check_analyzer_crash_exits_3(tmp_path, capsys):
     missing = str(tmp_path / "never_written.json")
-    assert main(["check", "--rule", "FS", "--model", missing]) == 3
-    assert "FS000" in capsys.readouterr().out
+    assert main(["check", "--rule", "EA", "--model", missing]) == 3
+    assert "EA000" in capsys.readouterr().out
 
 
 def test_check_write_baseline_then_suppress(tmp_path, capsys):
-    stale = _stale_model(tmp_path)
+    model = _nan_threshold_model(tmp_path)
     baseline = str(tmp_path / "baseline.toml")
-    assert main(["check", "--rule", "FS", "--model", stale,
+    assert main(["check", "--rule", "EA", "--model", model,
                  "--write-baseline", baseline]) == 0
     assert "1 suppression(s)" in capsys.readouterr().out
-    assert main(["check", "--rule", "FS", "--model", stale,
+    assert main(["check", "--rule", "EA", "--model", model,
                  "--baseline", baseline]) == 0
     out = capsys.readouterr().out
     assert "suppressed by baseline" in out
-    assert main(["check", "--rule", "FS", "--model", stale,
+    assert main(["check", "--rule", "EA", "--model", model,
                  "--no-baseline", "--baseline", baseline]) == 1
 
 
 def test_check_update_baseline_round_trip(tmp_path, capsys):
-    stale = _stale_model(tmp_path)
+    model = _nan_threshold_model(tmp_path)
     baseline = str(tmp_path / "baseline.toml")
-    assert main(["check", "--rule", "FS", "--model", stale,
+    assert main(["check", "--rule", "EA", "--model", model,
                  "--baseline", baseline, "--update-baseline"]) == 0
     out = capsys.readouterr().out
     assert "kept 0, added 1" in out
     content = open(baseline).read()
     assert "# reason: TODO" in content
     # The regenerated baseline suppresses the finding on the next run.
-    assert main(["check", "--rule", "FS", "--model", stale,
+    assert main(["check", "--rule", "EA", "--model", model,
                  "--baseline", baseline]) == 0
     assert "suppressed by baseline" in capsys.readouterr().out
     # Re-running update on a now-clean tree drops the stale entry.

@@ -96,11 +96,10 @@ def test_rule_prefix_selects_whole_analyzers():
 
 
 def test_timings_cover_exactly_the_analyzers_run():
-    report = run_checks(rules=["DT", "FS"])
-    assert list(report.timings) == ["feature-schema", "determinism"]
+    report = run_checks(rules=["DT", "EA"])
+    assert list(report.timings) == ["ensemble", "determinism"]
     payload = json.loads(report.render("json"))
-    assert set(payload["analyzer_seconds"]) == {"feature-schema",
-                                                 "determinism"}
+    assert set(payload["analyzer_seconds"]) == {"ensemble", "determinism"}
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.checks import self_check_model
 from repro.core.features import FeatureRegistry
 from repro.core.model import T3Config, T3Model
 from repro.engine.stages import OperatorType, Stage
 from repro.errors import ReproError, SchemaError
 from repro.trees.boosting import BoostingParams
+from repro.trees.serialize import dumps_model
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +75,16 @@ def test_model_load_accepts_legacy_files_without_names(tmp_path, toy_model):
     path.write_text(json.dumps(payload))
     loaded = T3Model.load(path, compile_to_native=False)
     assert loaded.booster.n_trees == toy_model.booster.n_trees
+
+
+def test_model_load_rejects_foreign_feature_count(tmp_path, toy_model):
+    # A legacy document (no feature_names) whose booster reads another
+    # number of features fails at load, not at its first prediction.
+    path = tmp_path / "model.json"
+    toy_model.save(path)
+    payload = json.loads(path.read_text())
+    del payload["feature_names"]
+    payload["model"] = json.loads(dumps_model(self_check_model()))
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match="reads 7 features"):
+        T3Model.load(path, compile_to_native=False)

@@ -312,6 +312,24 @@ def test_rs008_seeded_workdir_leak_in_real_compiler(tmp_path):
     assert "may never be released" in findings[0].message
 
 
+def test_rs008_narrowed_cleanup_in_real_compiler(tmp_path):
+    # A cleanup handler that catches only CompilationError protects
+    # nothing against a failing write_text: the directory leaks.
+    source = _COMPILER_SOURCE.read_text()
+    cleanup = "    except BaseException:\n        shutil.rmtree(workdir"
+    assert source.count(cleanup) == 1
+    line = next(number for number, text
+                in enumerate(source.splitlines(), start=1)
+                if "tempfile.mkdtemp(" in text)
+    corpus = tmp_path / "treecomp"
+    corpus.mkdir()
+    (corpus / "compiler.py").write_text(source.replace(
+        cleanup, "    except CompilationError:\n        shutil.rmtree(workdir"))
+    findings = check_resource_lifecycles(roots=[tmp_path])
+    assert [(f.rule, f.line) for f in findings] == [("RS008", line)]
+    assert "released only on the normal path" in findings[0].message
+
+
 # ---------------------------------------------------------------------------
 # the real repo is clean
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the pipeline feature registry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from repro.engine.expressions import (
 from repro.engine.logical import LogicalJoin, LogicalScan
 from repro.engine.optimizer import Optimizer
 from repro.engine.pipelines import decompose_into_pipelines
+from repro.engine.stages import OperatorType, Stage
+from repro.core import features
 from repro.core.features import FeatureRegistry, default_registry
 
 
@@ -74,6 +78,38 @@ class TestRegistryLayout:
 
     def test_default_registry_singleton(self):
         assert default_registry() is default_registry()
+
+    def test_layout_is_pinned(self, registry):
+        """Names and column order of the 121 features, as every saved
+        model records them: a reordered declaration fails here, not
+        only when an old model refuses to load."""
+        names = registry.feature_names()
+        digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+        assert (len(names), digest) == (
+            121, "7832e12e12d11d888c5a3d9a8dec6a73e1c709aebe9850b547b441ae7a6ac2d3")
+
+
+class TestRegistryRefusesBadDeclarations:
+    """Declarations the registry refuses at construction, so a bad
+    table never featurizes a single plan."""
+
+    @pytest.mark.parametrize("pair, suffixes, match", [
+        ((OperatorType.TABLE_SCAN, Stage.BUILD), ("in_card",),
+         r"\(TableScan, Build\)"),
+        ((OperatorType.SORT, Stage.SCAN), ("in_card", "out_cardinality"),
+         "out_cardinality"),
+        ((OperatorType.FILTER, Stage.PASS_THROUGH),
+         ("in_percentage", "expr_like_percentage"), "expr_like_percentage"),
+        ((OperatorType.GROUP_BY, Stage.BUILD),
+         ("in_percentage", "n_keys", "n_keys"), "GroupBy_Build_n_keys"),
+    ], ids=["stage-no-operator-has", "feature-without-extractor",
+            "expression-feature-outside-a-scan", "duplicate-feature"])
+    def test_bad_declaration(self, monkeypatch, pair, suffixes, match):
+        table = dict(features._STAGE_FEATURES)
+        table[pair] = suffixes
+        monkeypatch.setattr(features, "_STAGE_FEATURES", table)
+        with pytest.raises(FeatureError, match=match):
+            FeatureRegistry()
 
 
 class TestScanVectors:

@@ -33,6 +33,9 @@ class TestTargets:
     def test_clamping(self):
         assert transform_target(0.0) == transform_target(MIN_TUPLE_TIME)
         assert transform_target(1e9) == transform_target(MAX_TUPLE_TIME)
+        # The bounds keep -log(t) finite for any time, zero and
+        # overflow included.
+        assert np.isfinite(transform_target([0.0, 5e-324, np.inf])).all()
 
     def test_tuple_time(self):
         assert tuple_time_target(2.0, 1000) == pytest.approx(0.002)

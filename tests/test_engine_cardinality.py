@@ -23,6 +23,7 @@ from repro.engine.logical import (
     LogicalSort,
 )
 from repro.engine.optimizer import Optimizer, OptimizerConfig
+from repro.engine.physical import PFilter
 
 
 @pytest.fixture
@@ -169,6 +170,58 @@ class TestAggregatesAndLimits:
         first = exact.output_cardinality(plan.root)
         exact.reset()
         assert exact.output_cardinality(plan.root) == first
+
+
+class _OutOfRange(ExactCardinalityModel):
+    """An estimator whose raw numbers leave their ranges: every
+    predicate selects ``selectivity`` and every join fans out by
+    ``fanout``."""
+
+    def __init__(self, catalog, selectivity, fanout=1.0):
+        super().__init__(catalog)
+        self.selectivity = selectivity
+        self.fanout = fanout
+
+    def _predicate_selectivity(self, predicate):
+        return self.selectivity
+
+    def _join_fanout(self, fanout):
+        return self.fanout
+
+
+class TestClamps:
+    """Raw estimates outside their ranges never reach a feature: every
+    selectivity is a fraction, a filter never adds tuples, and no
+    cardinality is negative."""
+
+    _PREDICATES = [
+        ComparisonPredicate("orders", "o_total", ComparisonOp.LE, 5000),
+        ComparisonPredicate("orders", "o_cust", ComparisonOp.GE, 10),
+    ]
+
+    @pytest.mark.parametrize("raw", [-0.5, 0.25, 3.0])
+    def test_selectivities_are_fractions(self, optimizer, toy_instance, raw):
+        model = _OutOfRange(toy_instance.catalog, raw)
+        assert 0.0 <= model.predicate_selectivity(self._PREDICATES[0]) <= 1.0
+        scan = optimizer.optimize(LogicalScan("orders", self._PREDICATES)).root
+        assert 0.0 <= model.output_cardinality(scan) \
+            <= model.base_cardinality(scan)
+
+    @pytest.mark.parametrize("raw", [0.25, 3.0])
+    def test_filter_never_adds_tuples(self, optimizer, toy_instance, raw):
+        model = _OutOfRange(toy_instance.catalog, raw)
+        scan = optimizer.optimize(LogicalScan("orders")).root
+        kept = model.output_cardinality(PFilter(scan, self._PREDICATES))
+        expected = min(raw, 1.0) ** 2 * model.output_cardinality(scan)
+        assert kept == pytest.approx(expected)
+
+    def test_negative_join_estimate_reads_zero(self, optimizer,
+                                               toy_instance):
+        model = _OutOfRange(toy_instance.catalog, 1.0, fanout=-1.0)
+        plan = optimizer.optimize(LogicalJoin(
+            LogicalScan("customer"), LogicalScan("orders"),
+            _edge(toy_instance, "customer", "orders")))
+        assert model.output_cardinality(plan.root) == 0.0
 
 
 class TestDistorted:

@@ -1,30 +1,51 @@
 """Tests for pipeline decomposition and stage flows."""
 
+import numpy as np
 import pytest
 
+from repro.core.features import default_registry
+from repro.engine import physical
 from repro.engine.cardinality import ExactCardinalityModel
 from repro.engine.expressions import (
     Aggregate,
     AggregateFunction,
     ComparisonOp,
     ComparisonPredicate,
+    ComputedColumn,
 )
 from repro.engine.logical import (
+    LogicalDistinct,
     LogicalGroupBy,
     LogicalJoin,
     LogicalLimit,
+    LogicalProject,
     LogicalScan,
     LogicalSort,
     LogicalTopK,
     LogicalUnion,
 )
 from repro.engine.optimizer import Optimizer, OptimizerConfig
+from repro.engine.physical import (
+    PAssertSingle,
+    PFilter,
+    PhysicalPlan,
+    PMaterialize,
+    PSimpleAgg,
+)
 from repro.engine.pipelines import (
     compute_stage_flows,
     decompose_into_pipelines,
     pipeline_input_cardinality,
 )
-from repro.engine.stages import OperatorType, Stage, all_operator_stage_pairs
+from repro.engine.stages import (
+    BINARY_OPERATORS,
+    MATERIALIZING_OPERATORS,
+    OPERATOR_STAGES,
+    OperatorType,
+    Stage,
+    all_operator_stage_pairs,
+)
+from tests import test_engine_exotic_operators as exotic
 
 
 @pytest.fixture
@@ -154,9 +175,72 @@ class TestStageFlows:
         assert build_flow.materialized_cardinality == 25
 
 
+def _plans_with_every_operator(toy_instance, toy_workload):
+    """The toy workload's plans, the exotic-operator plans, and one
+    small plan per operator neither holds."""
+    schema = toy_instance.schema
+    optimizer = Optimizer(schema, toy_instance.catalog)
+    edge = schema.edge_between("customer", "orders")
+    by_total = [("orders", "o_total")]
+    logical = [
+        LogicalSort(LogicalScan("orders"), by_total),
+        LogicalDistinct(LogicalScan("orders"), by_total),
+        LogicalUnion(LogicalScan("orders"), LogicalScan("orders")),
+        LogicalProject(LogicalScan("orders"), by_total,
+                       [ComputedColumn("doubled", ["o_total"], 1)]),
+        LogicalJoin(LogicalScan("customer"), LogicalScan("orders"), edge,
+                    kind="semi"),
+        LogicalJoin(LogicalScan("customer"), LogicalScan("orders"), edge,
+                    kind="anti"),
+    ]
+    orders = exotic._scan(toy_instance, "orders")
+    item = exotic._scan(toy_instance, "item")
+    roots = [
+        PFilter(orders, [ComparisonPredicate(
+            "orders", "o_total", ComparisonOp.LE, 5000)]),
+        PMaterialize(item),
+        PAssertSingle(PSimpleAgg(item, [Aggregate(AggregateFunction.COUNT)],
+                                 [("#computed", "agg_0")], 8)),
+    ]
+    return ([query.plan for query in toy_workload]
+            + [optimizer.optimize(node) for node in logical]
+            + [PhysicalPlan(root, schema.name, "exotic") for root in roots]
+            + [exotic.TestCrossProduct()._plan(toy_instance),
+               exotic.TestBNLJoin()._plan(toy_instance)])
+
+
 class TestStageInventory:
     def test_19_operators(self):
         assert len(OperatorType) == 19
+
+    def test_decomposer_emits_the_declared_stages(self, toy_instance,
+                                                  toy_workload):
+        """The stage table, the physical classes and the decomposer
+        agree on every operator type the engine has."""
+        classes = {obj.op_type for obj in vars(physical).values()
+                   if isinstance(obj, type)
+                   and issubclass(obj, physical.PhysicalOperator)
+                   and hasattr(obj, "op_type")}
+        assert classes == set(OperatorType)
+        assert not BINARY_OPERATORS & MATERIALIZING_OPERATORS
+
+        plans = _plans_with_every_operator(toy_instance, toy_workload)
+        assert {op.op_type for plan in plans
+                for op in plan.root.walk()} == set(OperatorType)
+        exact = ExactCardinalityModel(toy_instance.catalog)
+        for plan in plans:
+            emitted = {id(op): [] for op in plan.root.walk()}
+            for pipeline in decompose_into_pipelines(plan):
+                for op, stage in pipeline.stages:
+                    if stage not in emitted[id(op)]:
+                        emitted[id(op)].append(stage)
+            for op in plan.root.walk():
+                assert tuple(emitted[id(op)]) == OPERATOR_STAGES[op.op_type], (
+                    op.op_type)
+            # Every stage the decomposer emits can be featurized, probes
+            # included (a probe needs a build side to read its state).
+            vectors, _ = default_registry().vectors_for_plan(plan, exact)
+            assert np.isfinite(vectors).all()
 
     def test_32_operator_stages(self):
         # The paper's Umbra implementation has 28 stages over its 19

@@ -8,6 +8,7 @@ import pytest
 
 import repro.treecomp.compiler as compiler_mod
 from repro.checks.codegen_verify import self_check_model, verify_codegen
+from repro.core.features import default_registry
 from repro.core.model import PredictionBackend, T3Config, T3Model
 from repro.errors import CompilationError
 from repro.serving.batching import MicroBatcher
@@ -309,8 +310,9 @@ class TestPersistedModel:
                                                   legacy_codegen):
         # Older versions wrote a "codegen" field naming one of several
         # C emitters (or none at all); load ignores it and compiles
-        # with the one emitter.
-        model = T3Model(self_check_model(), T3Config(compile_to_native=False))
+        # with the one emitter. (Load requires the registry's width.)
+        booster = self_check_model(n_features=default_registry().n_features)
+        model = T3Model(booster, T3Config(compile_to_native=False))
         path = tmp_path / "model.json"
         model.save(path)
         payload = json.loads(path.read_text())
