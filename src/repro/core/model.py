@@ -41,6 +41,18 @@ from .features import FeatureRegistry, default_registry
 from .targets import inverse_transform
 
 
+def _require_width(booster: BoostedTreesModel,
+                   registry: FeatureRegistry) -> None:
+    """Raise :class:`SchemaError` unless ``booster`` reads exactly the
+    registry's features, so no model is built, saved or loaded with a
+    layout its rows do not have."""
+    if booster.n_features != registry.n_features:
+        raise SchemaError(
+            f"model reads {booster.n_features} features but the feature "
+            f"registry declares {registry.n_features}; retrain it against "
+            "this build")
+
+
 class PredictionBackend(Enum):
     """How the tree ensemble is evaluated at inference time."""
 
@@ -69,6 +81,7 @@ class T3Model:
         self.booster = booster
         self.config = config
         self.registry = registry or default_registry()
+        _require_width(booster, self.registry)
         #: :meth:`digest` of the model this one was retrained from
         #: (``None`` for models trained from scratch). The lifecycle
         #: layer uses it to audit promote/rollback chains.
@@ -283,11 +296,7 @@ class T3Model:
         payload = json.loads(Path(path).read_text())
         booster = loads_model(json.dumps(payload["model"]))
         registry = default_registry()
-        if booster.n_features != registry.n_features:
-            raise SchemaError(
-                f"persisted model reads {booster.n_features} features but "
-                f"this build's registry declares {registry.n_features}; "
-                "retrain it against this build")
+        _require_width(booster, registry)
         saved_names = payload.get("feature_names")
         if saved_names is not None:
             live_names = registry.feature_names()

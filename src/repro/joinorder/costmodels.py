@@ -17,55 +17,35 @@ pair of a level at once, so T3 evaluates the level's rows in one batch
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..core.features import FeatureRegistry, default_registry
+from ..core.features import FeatureRegistry
 from ..core.model import T3Model
 from ..core.targets import inverse_transform
-from ..engine.cardinality import ExactCardinalityModel
 from ..engine.catalog import Catalog
-from ..engine.physical import PTableScan
-from ..engine.pipelines import Pipeline, StageRef
-from ..engine.stages import Stage
-from .joingraph import Relation
-
-
-@dataclass
-class DPState:
-    """The cost-model state of one DP entry, as a single object.
-
-    ``comparison_cost`` orders candidate plans. The T3 model
-    additionally carries the open pipeline's feature vector and the cost
-    of all already-completed pipelines. The level loop keeps the same
-    fields per entry id in parallel arrays (:class:`T3JoinCost`); this
-    form is what a one-combination-at-a-time reference costs with.
-    """
-
-    comparison_cost: float
-    completed_cost: float = 0.0
-    open_vector: Optional[np.ndarray] = None
-    open_start: float = 1.0
+from .joingraph import JoinGraph
 
 
 class JoinCostModel:
     """Interface consumed by DPsize: the cost model is called once per
     DP level, never once per combination.
 
-    DP entries are integer ids. :meth:`leaves` starts a run and makes
-    the ``n`` leaves ids ``0..n-1`` in relation order; every later id is
-    a subset's winner, numbered in the order :meth:`keep` admits them.
-    The cost model keeps its per-entry state under those ids.
+    DP entries are integer ids. :meth:`leaves` starts a run on a graph
+    and makes its ``n`` leaves ids ``0..n-1`` in relation order; every
+    later id is a subset's winner, numbered in the order :meth:`keep`
+    admits them. The cost model keeps its per-entry state under those
+    ids.
     """
 
     #: Number of model invocations made so far (Table 5's "Model Calls").
     #: Counts rows, so batching a level leaves it unchanged.
     model_calls: int = 0
 
-    def leaves(self, relations: Sequence[Relation]) -> List[float]:
-        """Start a run; the comparison cost of each leaf entry."""
+    def leaves(self, graph: JoinGraph) -> List[float]:
+        """Start a run on ``graph``; the comparison cost of each leaf
+        entry."""
         raise NotImplementedError
 
     def combine(self, lefts: Sequence[int], rights: Sequence[int],
@@ -89,8 +69,8 @@ class CoutJoinCost(JoinCostModel):
         self._costs: List[float] = []
         self._level: List[float] = []
 
-    def leaves(self, relations: Sequence[Relation]) -> List[float]:
-        self._costs = [0.0] * len(relations)
+    def leaves(self, graph: JoinGraph) -> List[float]:
+        self._costs = [0.0] * graph.n_relations
         return list(self._costs)
 
     def combine(self, lefts: Sequence[int], rights: Sequence[int],
@@ -122,17 +102,19 @@ class T3JoinCost(JoinCostModel):
 
     A run's per-entry state is one open-vector matrix plus the completed
     cost and the open pipeline's start cardinality of each entry, all
-    indexed by entry id. :meth:`combine` gathers a whole level's build
-    rows and then its probe rows with one ``take`` into a ``(2k,
-    n_features)`` matrix and evaluates it with a single model call;
-    :meth:`keep` stores the probe rows of the subsets' winners only. The
-    column updates and the cost sums do the same floating-point
-    operations, in the same order, as costing each pair on its own.
+    indexed by entry id. :meth:`leaves` copies the leaf rows from the
+    graph's memo (:meth:`JoinGraph.leaf_rows`), so a relation's scan is
+    featurized once per graph, not once per run. :meth:`combine` gathers
+    a whole level's build rows and then its probe rows with one ``take``
+    into a ``(2k, n_features)`` matrix and evaluates it with a single
+    model call; :meth:`keep` stores the probe rows of the subsets'
+    winners only. The column updates and the cost sums do the same
+    floating-point operations, in the same order, as costing each pair
+    on its own.
     """
 
-    def __init__(self, predict_raw_one,
-                 registry: Optional[FeatureRegistry] = None,
-                 catalog: Optional[Catalog] = None):
+    def __init__(self, predict_raw_one, registry: FeatureRegistry,
+                 catalog: Catalog):
         """``predict_raw_one``: vector → transformed per-tuple time
         (e.g. ``T3Model.predict_raw_one`` of a compiled model).
 
@@ -140,10 +122,8 @@ class T3JoinCost(JoinCostModel):
         model's batch entry, one native call per matrix; any other
         callable is applied row by row.
 
-        With a ``catalog``, DP leaves are featurized by the *real*
-        pipeline featurizer (predicate classes, evaluation percentages,
-        scan widths all faithful to training data); without one, a
-        coarse hand-built scan vector is used.
+        DP leaves are the real pipeline featurizer's rows for each
+        relation's scan under ``registry`` and ``catalog``.
         """
         if getattr(predict_raw_one, "__func__", None) is T3Model.predict_raw_one:
             self._predict_rows = predict_raw_one.__self__.predict_raw_batch
@@ -152,21 +132,15 @@ class T3JoinCost(JoinCostModel):
                 return np.array([predict_raw_one(row) for row in X],
                                 dtype=np.float64)
             self._predict_rows = predict_rows
-        self.registry = registry or default_registry()
+        self.registry = registry
         self.catalog = catalog
-        self._exact = ExactCardinalityModel(catalog) if catalog else None
         self.model_calls = 0
-        self._open = np.empty((0, self.registry.n_features))
+        self._open = np.empty((0, registry.n_features))
         self._done = np.empty(0)
         self._start = np.empty(0)
         self._size = 0
         self._level = None
-        index = self.registry.index_of
-        self._scan_count = index("TableScan_Scan_count")
-        self._scan_card = index("TableScan_Scan_in_card")
-        self._scan_size = index("TableScan_Scan_in_size")
-        self._scan_out = index("TableScan_Scan_out_percentage")
-        self._scan_cmp = index("TableScan_Scan_expr_comparison_percentage")
+        index = registry.index_of
         self._build_count = index("HashJoin_Build_count")
         self._build_card = index("HashJoin_Build_in_card")
         self._build_size = index("HashJoin_Build_in_size")
@@ -183,39 +157,16 @@ class T3JoinCost(JoinCostModel):
         self.model_calls += len(X)
         return inverse_transform(self._predict_rows(X)) * np.maximum(starts, 1.0)
 
-    def leaves(self, relations: Sequence[Relation]) -> List[float]:
-        n = len(relations)
+    def leaves(self, graph: JoinGraph) -> List[float]:
+        rows = graph.leaf_rows(self.registry, self.catalog)
+        n = len(rows)
         self._open = np.empty((max(4 * n, 64), self.registry.n_features))
         self._done = np.zeros(len(self._open))
         self._start = np.empty(len(self._open))
-        for i, relation in enumerate(relations):
-            self._open[i] = self._leaf_vector(relation)
-            self._start[i] = relation.base_rows
+        self._open[:n] = rows
+        self._start[:n] = [relation.base_rows for relation in graph.relations]
         self._size = n
         return self._pipeline_times(self._open[:n], self._start[:n]).tolist()
-
-    def _leaf_vector(self, relation: Relation) -> np.ndarray:
-        if self._exact is not None:
-            # Faithful path: lower the scan and use the real featurizer.
-            schema_table = self.catalog.schema.table(relation.table)
-            columns = [(relation.table, c) for c in schema_table.column_names]
-            predicates = sorted(
-                relation.scan.predicates,
-                key=lambda p: p.estimated_selectivity(self.catalog))
-            scan = PTableScan(relation.table, predicates,
-                              relation.scan.correlation_factor,
-                              columns, schema_table.row_byte_width,
-                              scan_byte_width=schema_table.row_byte_width)
-            pipeline = Pipeline(0, [StageRef(scan, Stage.SCAN)])
-            return self.registry.vector_for_pipeline(pipeline, self._exact)
-        # Coarse fallback without catalog access.
-        vector = np.zeros(self.registry.n_features)
-        vector[self._scan_count] = 1.0
-        vector[self._scan_card] = relation.base_rows
-        vector[self._scan_size] = relation.tuple_width
-        vector[self._scan_out] = relation.cardinality / max(relation.base_rows, 1.0)
-        vector[self._scan_cmp] = float(len(relation.scan.predicates))
-        return vector
 
     def combine(self, lefts: Sequence[int], rights: Sequence[int],
                 left_cards: Sequence[float], right_cards: Sequence[float],

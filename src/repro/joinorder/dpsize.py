@@ -51,7 +51,7 @@ def dpsize(graph: JoinGraph, cost_model: JoinCostModel) -> DPResult:
              for relation, mask in zip(graph.relations, masks)]
     trees: List[JoinTree] = [relation.index for relation in graph.relations]
     cards = [relation.cardinality for relation in graph.relations]
-    costs = cost_model.leaves(graph.relations)
+    costs = cost_model.leaves(graph)
     by_size: List[List[int]] = [[] for _ in range(n + 1)]
     by_size[1] = list(range(n))
 

@@ -4,7 +4,9 @@ The join-ordering experiments use *correct* cardinalities supplied with
 low latency (the paper's "cardinality oracle"), so the measured
 optimization time stresses the cost model, not estimation. The oracle
 here memoizes subset cardinalities computed from filtered base
-cardinalities and per-edge join selectivities.
+cardinalities and per-edge join selectivities. The graph also memoizes
+each relation's featurized leaf scan, which every T3-costed DPsize run
+on it starts from.
 """
 
 from __future__ import annotations
@@ -12,11 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..core.features import FeatureRegistry
 from ..errors import PlanError
 from ..engine.cardinality import ExactCardinalityModel
 from ..engine.catalog import Catalog
 from ..engine.logical import LogicalJoin, LogicalNode, LogicalScan
+from ..engine.physical import PTableScan
+from ..engine.pipelines import Pipeline, StageRef
 from ..engine.schema import JoinEdge
+from ..engine.stages import Stage
 
 
 @dataclass
@@ -28,7 +36,6 @@ class Relation:
     scan: LogicalScan
     cardinality: float      # after local predicates (oracle)
     base_rows: float        # before predicates
-    tuple_width: int
 
 
 @dataclass
@@ -45,7 +52,8 @@ class GraphEdge:
 
 
 class JoinGraph:
-    """Relations + edges + memoized subset-cardinality oracle."""
+    """Relations + edges + memoized subset-cardinality oracle and leaf
+    feature rows."""
 
     def __init__(self, relations: Sequence[Relation],
                  edges: Sequence[GraphEdge]):
@@ -56,6 +64,12 @@ class JoinGraph:
         self._cards: Dict[int, float] = {}
         self._bits: List[int] = []
         self._snapshot: Optional[Tuple[GraphEdge, ...]] = None
+        # (id(registry), id(catalog)) -> (registry, catalog, rows). The
+        # registry and the catalog are stored beside the rows to pin
+        # them alive, as CardinalityModel pins its keys: a recycled id
+        # must not serve one registry's rows to another.
+        self._leaf_rows: Dict[Tuple[int, int],
+                              Tuple[FeatureRegistry, Catalog, np.ndarray]] = {}
 
     @property
     def n_relations(self) -> int:
@@ -126,6 +140,30 @@ class JoinGraph:
             out.append(card)
         return out
 
+    # -- leaf feature rows ---------------------------------------------------
+
+    def leaf_rows(self, registry: FeatureRegistry,
+                  catalog: Catalog) -> np.ndarray:
+        """Each relation's scan featurized as a one-stage pipeline: a
+        read-only ``(n_relations, n_features)`` matrix in relation order.
+
+        A row depends only on its relation, the catalog and the
+        registry, so it is computed on the first request for that
+        (registry, catalog) pair and kept as long as the graph. Every
+        later DPsize run on the graph copies the stored rows.
+        """
+        key = (id(registry), id(catalog))
+        hit = self._leaf_rows.get(key)
+        if hit is None:
+            rows = np.empty((self.n_relations, registry.n_features))
+            exact = ExactCardinalityModel(catalog)
+            for i, relation in enumerate(self.relations):
+                rows[i] = registry.vector_for_pipeline(
+                    _leaf_pipeline(relation, catalog), exact)
+            rows.setflags(write=False)
+            hit = self._leaf_rows[key] = (registry, catalog, rows)
+        return hit[2]
+
     # -- construction from logical plans -------------------------------------------
 
     @classmethod
@@ -165,8 +203,7 @@ class JoinGraph:
         for i, scan in enumerate(scans):
             base = float(catalog.row_count(scan.table))
             filtered = base * exact.conjunction_selectivity(scan)
-            width = catalog.schema.table(scan.table).row_byte_width
-            relations.append(Relation(i, scan.table, scan, filtered, base, width))
+            relations.append(Relation(i, scan.table, scan, filtered, base))
 
         edges = []
         for join_edge in join_pairs:
@@ -175,6 +212,20 @@ class JoinGraph:
             selectivity = exact.join_selectivity(join_edge)
             edges.append(GraphEdge(left, right, join_edge, selectivity))
         return cls(relations, edges)
+
+
+def _leaf_pipeline(relation: Relation, catalog: Catalog) -> Pipeline:
+    """The relation's lowered scan as a one-stage pipeline: every column
+    read, predicates in estimated-selectivity order."""
+    schema_table = catalog.schema.table(relation.table)
+    columns = [(relation.table, c) for c in schema_table.column_names]
+    predicates = sorted(relation.scan.predicates,
+                        key=lambda p: p.estimated_selectivity(catalog))
+    scan = PTableScan(relation.table, predicates,
+                      relation.scan.correlation_factor, columns,
+                      schema_table.row_byte_width,
+                      scan_byte_width=schema_table.row_byte_width)
+    return Pipeline(0, [StageRef(scan, Stage.SCAN)])
 
 
 class GraphCardinalityModel(ExactCardinalityModel):

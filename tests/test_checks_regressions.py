@@ -88,3 +88,10 @@ def test_model_load_rejects_foreign_feature_count(tmp_path, toy_model):
     path.write_text(json.dumps(payload))
     with pytest.raises(SchemaError, match="reads 7 features"):
         T3Model.load(path, compile_to_native=False)
+
+
+def test_model_construction_rejects_foreign_feature_count():
+    # The same refusal as load, raised before save could write a
+    # document whose feature_names disagree with its booster.
+    with pytest.raises(SchemaError, match="reads 7 features"):
+        T3Model(self_check_model(), T3Config(compile_to_native=False))

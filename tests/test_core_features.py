@@ -1,6 +1,9 @@
 """Tests for the pipeline feature registry."""
 
+import ast
 import hashlib
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -110,6 +113,23 @@ class TestRegistryRefusesBadDeclarations:
         monkeypatch.setattr(features, "_STAGE_FEATURES", table)
         with pytest.raises(FeatureError, match=match):
             FeatureRegistry()
+
+    def test_every_extractor_arm_is_declared(self):
+        # The registry only asks for declared suffixes, so an arm for a
+        # suffix no stage declares would be dead code nothing else sees.
+        source = textwrap.dedent(
+            inspect.getsource(FeatureRegistry._basic_feature_extractor))
+        arms = {node.comparators[0].value
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Name)
+                and node.left.id == "suffix"
+                and isinstance(node.ops[0], ast.Eq)
+                and isinstance(node.comparators[0], ast.Constant)}
+        declared = {suffix for suffixes in features._STAGE_FEATURES.values()
+                    for suffix in suffixes}
+        assert "in_card" in arms
+        assert arms <= declared, sorted(arms - declared)
 
 
 class TestScanVectors:

@@ -1,6 +1,9 @@
 """Tests for join graphs, DPsize, and the T3 join cost model."""
 
-from dataclasses import replace
+import gc
+import weakref
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -21,8 +24,8 @@ from repro.joinorder import (
     greedy_order,
     join_tree_tables,
 )
-from repro.joinorder.costmodels import DPState
 from repro.joinorder.dpsize import tree_to_logical
+from repro.core.features import FeatureRegistry, default_registry
 from repro.core.targets import inverse_transform
 
 
@@ -37,6 +40,17 @@ def job_graphs(imdb):
     for name, logical in job_queries(imdb)[:20]:
         graphs.append((name, JoinGraph.from_logical(logical, imdb.catalog)))
     return graphs
+
+
+@pytest.fixture(scope="module")
+def compiled_model(toy_workload):
+    from repro.core.model import T3Config, T3Model
+    from repro.trees.boosting import BoostingParams
+    model = T3Model.train(
+        toy_workload, T3Config(boosting=BoostingParams(n_rounds=20)))
+    if not model.is_compiled:
+        pytest.skip("no C compiler available")
+    return model
 
 
 def _toy_graph(toy_instance):
@@ -64,7 +78,7 @@ def _graphs_with_masks(draw):
     removed = (draw(st.sets(st.integers(0, len(edges) - 1)))
                if edges else set())
     graph = JoinGraph(
-        [Relation(i, f"t{i}", None, 1.0, 1.0, 8) for i in range(n)],
+        [Relation(i, f"t{i}", None, 1.0, 1.0) for i in range(n)],
         [GraphEdge(left, right, None, 0.5) for left, right in edges])
     return graph, mask_a, mask_b, removed
 
@@ -150,7 +164,7 @@ class TestDPsize:
         assert result.cost <= graph.cardinality(0b111) + min(
             graph.cardinality(0b011), graph.cardinality(0b101))
 
-    def test_cost_model_call_ratio(self, job_graphs, toy_workload):
+    def test_cost_model_call_ratio(self, job_graphs, imdb, toy_workload):
         """T3 makes ~2 calls per combination vs 1 for C_out (Table 5)."""
         from repro.core.model import T3Model
         from repro.trees.boosting import BoostingParams
@@ -161,7 +175,8 @@ class TestDPsize:
                      compile_to_native=False))
         name, graph = job_graphs[0]
         cout = dpsize(graph, CoutJoinCost())
-        t3 = dpsize(graph, T3JoinCost(model.predict_raw_one))
+        t3 = dpsize(graph, T3JoinCost(model.predict_raw_one, model.registry,
+                                      imdb.catalog))
         # Leaves add n extra calls for T3; combinations cost 2x.
         assert t3.model_calls >= 2 * cout.model_calls
         assert t3.model_calls <= 2 * cout.model_calls + graph.n_relations
@@ -211,12 +226,30 @@ class TestGreedy:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class DPState:
+    """The cost-model state of one DP entry, as a single object.
+
+    ``comparison_cost`` orders candidate plans. The T3 model
+    additionally carries the open pipeline's feature vector and the cost
+    of all already-completed pipelines. The level loop keeps the same
+    fields per entry id in parallel arrays (:class:`T3JoinCost`); this
+    form is what the one-combination-at-a-time references cost with.
+    """
+
+    comparison_cost: float
+    completed_cost: float = 0.0
+    open_vector: Optional[np.ndarray] = None
+    open_start: float = 1.0
+
+
 class _PerPairReference:
     """The T3 cost model costed one combination at a time: the reference.
 
     Two predictor calls per combination, one per leaf, each on its own
-    ``ndarray.copy()``; leaf vectors come from the cost model under test
-    so the comparison isolates the batching.
+    ``ndarray.copy()``; leaf vectors are the graph's leaf rows under the
+    cost model's registry and catalog, so the comparison isolates the
+    batching.
     """
 
     def __init__(self, cost: T3JoinCost, predict_raw_one):
@@ -228,8 +261,9 @@ class _PerPairReference:
         self.model_calls += 1
         return float(inverse_transform(self.predict(vector))) * max(start, 1.0)
 
-    def leaf(self, relation):
-        vector = self.cost._leaf_vector(relation)
+    def leaf(self, graph, relation):
+        vector = graph.leaf_rows(self.cost.registry,
+                                 self.cost.catalog)[relation.index]
         return DPState(comparison_cost=self._pipeline_time(
                            vector, relation.base_rows),
                        open_vector=vector, open_start=relation.base_rows)
@@ -264,7 +298,7 @@ class _PerPairCout:
     def __init__(self):
         self.model_calls = 0
 
-    def leaf(self, relation):
+    def leaf(self, graph, relation):
         return DPState(comparison_cost=0.0)
 
     def combine(self, left, right, left_card, right_card, out_card):
@@ -280,7 +314,7 @@ def _per_pair_dpsize(graph, cost):
     by_size = [[] for _ in range(n + 1)]
     for relation in graph.relations:
         mask = 1 << relation.index
-        table[mask] = (relation.index, cost.leaf(relation),
+        table[mask] = (relation.index, cost.leaf(graph, relation),
                        relation.cardinality)
         by_size[1].append(mask)
     for size in range(2, n + 1):
@@ -312,16 +346,6 @@ class TestLevelBatchedT3:
     def all_job_graphs(self, imdb):
         return [JoinGraph.from_logical(logical, imdb.catalog)
                 for _, logical in job_queries(imdb)]
-
-    @pytest.fixture(scope="class")
-    def compiled_model(self, toy_workload):
-        from repro.core.model import T3Config, T3Model
-        from repro.trees.boosting import BoostingParams
-        model = T3Model.train(
-            toy_workload, T3Config(boosting=BoostingParams(n_rounds=20)))
-        if not model.is_compiled:
-            pytest.skip("no C compiler available")
-        return model
 
     @pytest.fixture(scope="class")
     def interpreted_model(self, compiled_model):
@@ -412,7 +436,97 @@ class TestEntryIdDPsize:
     def test_t3_keeps_state_for_winners_only(self, all_job_graphs, imdb):
         for graph in all_job_graphs:
             cost = T3JoinCost(lambda x: float(np.log1p(x[:16].sum())),
-                              catalog=imdb.catalog)
+                              default_registry(), imdb.catalog)
             result = dpsize(graph, cost)
             # One stored open row per subset, not one per candidate.
             assert cost._size == result.n_entries
+
+
+class TestLeafRowMemo:
+    """Each relation's scan is featurized once per graph, per registry
+    and catalog, and every later DPsize run on the graph reuses it."""
+
+    @pytest.fixture
+    def fresh_graphs(self, imdb):
+        # Built per test: the memo starts empty on every graph.
+        return [JoinGraph.from_logical(logical, imdb.catalog)
+                for _, logical in job_queries(imdb)]
+
+    @pytest.fixture
+    def featurizations(self, monkeypatch):
+        calls = []
+        original = FeatureRegistry.vector_for_pipeline
+
+        def counted(registry, pipeline, model):
+            calls.append(registry)
+            return original(registry, pipeline, model)
+
+        monkeypatch.setattr(FeatureRegistry, "vector_for_pipeline", counted)
+        return calls
+
+    def _run(self, graph, model, registry, catalog):
+        native = model._compiled
+        before = native.ffi_calls
+        result = dpsize(graph, T3JoinCost(model.predict_raw_one, registry,
+                                          catalog))
+        return result, native.ffi_calls - before
+
+    def test_second_run_featurizes_nothing(self, fresh_graphs, imdb,
+                                           compiled_model, featurizations):
+        assert len(fresh_graphs) == 113
+        registry = compiled_model.registry
+        for graph in fresh_graphs:
+            # The first run on a graph featurizes inside dpsize.
+            featurizations.clear()
+            first, first_native = self._run(graph, compiled_model, registry,
+                                            imdb.catalog)
+            assert len(featurizations) == graph.n_relations
+            featurizations.clear()
+            second, second_native = self._run(graph, compiled_model,
+                                              registry, imdb.catalog)
+            assert featurizations == []
+            assert second.tree == first.tree
+            assert second.cost == first.cost      # bit-identical
+            assert second.model_calls == first.model_calls
+            assert second_native == first_native
+
+    def test_registries_do_not_share_rows(self, fresh_graphs, imdb,
+                                          compiled_model, featurizations):
+        other = FeatureRegistry()
+        assert other is not compiled_model.registry
+        for graph in fresh_graphs:
+            first, _ = self._run(graph, compiled_model,
+                                 compiled_model.registry, imdb.catalog)
+            featurizations.clear()
+            second, _ = self._run(graph, compiled_model, other, imdb.catalog)
+            assert featurizations == [other] * graph.n_relations
+            ours = graph.leaf_rows(compiled_model.registry, imdb.catalog)
+            theirs = graph.leaf_rows(other, imdb.catalog)
+            assert theirs is not ours
+            assert np.array_equal(theirs, ours)   # same layout, same rows
+            assert (second.tree, second.cost) == (first.tree, first.cost)
+
+    def test_memo_pins_its_registry(self, imdb):
+        # A registry that only the memo still references stays alive, so
+        # its id cannot be recycled for a registry that would then read
+        # its rows; it is released with the graph.
+        _, logical = job_queries(imdb)[0]
+        graph = JoinGraph.from_logical(logical, imdb.catalog)
+        registry = FeatureRegistry()
+        alive = weakref.ref(registry)
+        graph.leaf_rows(registry, imdb.catalog)
+        del registry
+        gc.collect()
+        assert alive() is not None
+        del graph
+        gc.collect()
+        assert alive() is None
+
+    def test_stored_rows_are_read_only(self, fresh_graphs, imdb):
+        registry = default_registry()
+        for graph in fresh_graphs:
+            rows = graph.leaf_rows(registry, imdb.catalog)
+            assert rows.shape == (graph.n_relations, registry.n_features)
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0

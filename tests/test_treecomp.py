@@ -187,7 +187,9 @@ class TestCompiledModel:
     def test_exactly_one_ffi_call_per_microbatch(self):
         # end to end through the serving batcher: each micro-batch the
         # worker evaluates is exactly one native call
-        t3 = T3Model(self_check_model(), T3Config(compile_to_native=True))
+        t3 = T3Model(
+            self_check_model(n_features=default_registry().n_features),
+            T3Config(compile_to_native=True))
         assert t3.backend is PredictionBackend.COMPILED
         compiled = t3._compiled
         batcher = MicroBatcher(t3.predict_raw_batch, max_batch_rows=64,
