@@ -17,7 +17,7 @@ pair of a level at once, so T3 evaluates the level's rows in one batch
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..core.features import FeatureRegistry
 from ..core.model import T3Model
 from ..core.targets import inverse_transform
 from ..engine.catalog import Catalog
-from .joingraph import JoinGraph
+from .joingraph import DPLevel, JoinGraph
 
 
 class JoinCostModel:
@@ -43,16 +43,15 @@ class JoinCostModel:
     #: Counts rows, so batching a level leaves it unchanged.
     model_calls: int = 0
 
-    def leaves(self, graph: JoinGraph) -> List[float]:
-        """Start a run on ``graph``; the comparison cost of each leaf
-        entry."""
+    def leaves(self, graph: JoinGraph, n_entries: int) -> np.ndarray:
+        """Start a run on ``graph``, whose DP holds ``n_entries``
+        entries; the comparison cost of each leaf entry."""
         raise NotImplementedError
 
-    def combine(self, lefts: Sequence[int], rights: Sequence[int],
-                left_cards: Sequence[float], right_cards: Sequence[float],
-                out_cards: Sequence[float]) -> List[float]:
-        """The comparison cost of every candidate ``lefts[i] join
-        rights[i]`` of one level (entry ids), in candidate order."""
+    def combine(self, level: DPLevel) -> np.ndarray:
+        """The comparison cost of every candidate of ``level`` (entry
+        ids ``level.lefts[i] join level.rights[i]``), in candidate
+        order."""
         raise NotImplementedError
 
     def keep(self, winners: Sequence[int]) -> None:
@@ -66,26 +65,26 @@ class CoutJoinCost(JoinCostModel):
 
     def __init__(self):
         self.model_calls = 0
-        self._costs: List[float] = []
-        self._level: List[float] = []
+        self._costs = np.empty(0)
+        self._size = 0
+        self._level = np.empty(0)
 
-    def leaves(self, graph: JoinGraph) -> List[float]:
-        self._costs = [0.0] * graph.n_relations
-        return list(self._costs)
+    def leaves(self, graph: JoinGraph, n_entries: int) -> np.ndarray:
+        self._costs = np.zeros(n_entries)
+        self._size = graph.n_relations
+        return self._costs[:self._size]
 
-    def combine(self, lefts: Sequence[int], rights: Sequence[int],
-                left_cards: Sequence[float], right_cards: Sequence[float],
-                out_cards: Sequence[float]) -> List[float]:
-        self.model_calls += len(out_cards)
-        costs = self._costs
-        self._level = [out_card + costs[left] + costs[right]
-                       for left, right, out_card
-                       in zip(lefts, rights, out_cards)]
+    def combine(self, level: DPLevel) -> np.ndarray:
+        k = len(level.lefts)
+        self.model_calls += k
+        sides = self._costs.take(level.ids)
+        self._level = level.out_cards + sides[:k] + sides[k:]
         return self._level
 
     def keep(self, winners: Sequence[int]) -> None:
-        level = self._level
-        self._costs.extend([level[k] for k in winners])
+        end = self._size + len(winners)
+        self._level.take(winners, out=self._costs[self._size:end])
+        self._size = end
 
 
 class T3JoinCost(JoinCostModel):
@@ -157,28 +156,25 @@ class T3JoinCost(JoinCostModel):
         self.model_calls += len(X)
         return inverse_transform(self._predict_rows(X)) * np.maximum(starts, 1.0)
 
-    def leaves(self, graph: JoinGraph) -> List[float]:
+    def leaves(self, graph: JoinGraph, n_entries: int) -> np.ndarray:
         rows = graph.leaf_rows(self.registry, self.catalog)
         n = len(rows)
-        self._open = np.empty((max(4 * n, 64), self.registry.n_features))
-        self._done = np.zeros(len(self._open))
-        self._start = np.empty(len(self._open))
+        self._open = np.empty((n_entries, self.registry.n_features))
+        self._done = np.zeros(n_entries)
+        self._start = np.empty(n_entries)
         self._open[:n] = rows
         self._start[:n] = [relation.base_rows for relation in graph.relations]
         self._size = n
-        return self._pipeline_times(self._open[:n], self._start[:n]).tolist()
+        return self._pipeline_times(self._open[:n], self._start[:n])
 
-    def combine(self, lefts: Sequence[int], rights: Sequence[int],
-                left_cards: Sequence[float], right_cards: Sequence[float],
-                out_cards: Sequence[float]) -> List[float]:
-        k = len(lefts)
-        ids = np.array([*lefts, *rights], dtype=np.intp)
+    def combine(self, level: DPLevel) -> np.ndarray:
+        k = len(level.lefts)
         # Rows 0..k-1 close each left subtree's pipeline with a build;
         # rows k..2k-1 extend each right subtree's open pipeline by a probe.
-        X = self._open.take(ids, axis=0)
-        starts = self._start.take(ids)
-        done = self._done.take(ids)
-        left_cards = np.asarray(left_cards, dtype=np.float64)
+        X = self._open.take(level.ids, axis=0)
+        starts = self._start.take(level.ids)
+        done = self._done.take(level.ids)
+        left_cards = level.left_cards
         left_starts, right_starts = starts[:k], starts[k:]
         build, probe = X[:k], X[k:]
         build[:, self._build_count] += 1.0
@@ -189,33 +185,20 @@ class T3JoinCost(JoinCostModel):
         probe[:, self._probe_count] += 1.0
         probe[:, self._probe_card] += left_cards
         probe[:, self._probe_size] += 16.0
-        probe[:, self._probe_right] += (
-            np.asarray(right_cards, dtype=np.float64) / right_base)
-        probe[:, self._probe_out] += (
-            np.asarray(out_cards, dtype=np.float64) / right_base)
+        probe[:, self._probe_right] += level.right_cards / right_base
+        probe[:, self._probe_out] += level.out_cards / right_base
         times = self._pipeline_times(X, starts)
 
         completed = done[:k] + done[k:] + times[:k]
         self._level = (probe, completed, right_starts)
-        return (completed + times[k:]).tolist()
+        return completed + times[k:]
 
     def keep(self, winners: Sequence[int]) -> None:
         probe, completed, starts = self._level
         chosen = np.array(winners, dtype=np.intp)
         first, end = self._size, self._size + len(chosen)
-        if end > len(self._done):
-            capacity = max(end, 2 * len(self._done))
-            self._open, self._done, self._start = (
-                _grown(array, capacity, first)
-                for array in (self._open, self._done, self._start))
         probe.take(chosen, axis=0, out=self._open[first:end])
         completed.take(chosen, out=self._done[first:end])
         starts.take(chosen, out=self._start[first:end])
         self._size = end
 
-
-def _grown(array: np.ndarray, capacity: int, used: int) -> np.ndarray:
-    """``array`` reallocated to ``capacity`` rows, its first ``used`` kept."""
-    grown = np.empty((capacity,) + array.shape[1:])
-    grown[:used] = array[:used]
-    return grown

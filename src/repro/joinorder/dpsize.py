@@ -3,15 +3,17 @@
 Enumerates connected subplans by size: for every target size ``s`` and
 split ``s1 + s2 = s``, all pairs of disjoint connected subsets of sizes
 ``s1``/``s2`` that are linked by a join edge are combined, keeping the
-cheapest plan per subset. The cost model is pluggable (C_out or T3) and
-is called once per size level with all of that level's candidates.
+cheapest plan per subset. Which pairs those are depends on the graph
+alone, so the graph enumerates them once (:meth:`JoinGraph.dp_levels`)
+and a run only costs them. The cost model is pluggable (C_out or T3)
+and is called once per size level with all of that level's candidates.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from ..errors import PlanError
 from .costmodels import JoinCostModel
@@ -34,80 +36,43 @@ class DPResult:
 
 
 def dpsize(graph: JoinGraph, cost_model: JoinCostModel) -> DPResult:
-    """Find the cheapest bushy join tree without cross products."""
-    n = graph.n_relations
-    if n > 24:
-        raise PlanError(f"DPsize limited to 24 relations, got {n}")
+    """Find the cheapest bushy join tree without cross products.
+
+    The first run on a graph enumerates its levels inside the timed
+    call; a later one only costs them.
+    """
     start_time = time.perf_counter()
     calls_before = cost_model.model_calls
-
-    # DP entries are ids into these parallel lists; the cost model keeps
-    # its own per-entry state under the same ids. ``hoods`` holds each
-    # entry's neighbourhood: the relations outside it with an edge into
-    # it, so a connectivity test is one AND.
-    bits = graph.neighbour_bits()
-    masks = [1 << relation.index for relation in graph.relations]
-    hoods = [bits[relation.index] & ~mask
-             for relation, mask in zip(graph.relations, masks)]
-    trees: List[JoinTree] = [relation.index for relation in graph.relations]
-    cards = [relation.cardinality for relation in graph.relations]
-    costs = cost_model.leaves(graph)
-    by_size: List[List[int]] = [[] for _ in range(n + 1)]
-    by_size[1] = list(range(n))
-
-    # Ordered pairs: (T1, T2) and (T2, T1) are distinct candidates, as
-    # the left subtree builds and the right probes — cost models like T3
-    # are orientation-sensitive (C_out is symmetric and unaffected).
-    for size in range(2, n + 1):
-        # Level ``size`` only reads entries of smaller sizes, so all of
-        # its candidates are enumerated first and costed in one
-        # cost-model call.
-        lefts: List[int] = []
-        rights: List[int] = []
-        for left_size in range(1, size):
-            right_entries = [(right, masks[right])
-                             for right in by_size[size - left_size]]
-            for left in by_size[left_size]:
-                left_mask, hood = masks[left], hoods[left]
-                matched = [right for right, right_mask in right_entries
-                           if right_mask & hood and not right_mask & left_mask]
-                lefts += [left] * len(matched)
-                rights += matched
-        if not lefts:
-            continue
-        combined = [masks[left] | masks[right]
-                    for left, right in zip(lefts, rights)]
-        out_cards = graph.cardinalities(combined)
-        level_costs = cost_model.combine(
-            lefts, rights, [cards[left] for left in lefts],
-            [cards[right] for right in rights], out_cards)
+    plan = graph.dp_levels()
+    n = graph.n_relations
+    # A one-relation graph has no levels: its result is leaf 0.
+    costs = cost_model.leaves(graph, plan.n_entries).tolist()
+    winners = [0]
+    # Entry ``e``'s winning pair is (back_left[e - n], back_right[e - n]).
+    back_left: List[int] = []
+    back_right: List[int] = []
+    for level in plan.levels:
+        costs = cost_model.combine(level).tolist()
         # Each subset keeps its first strictly cheapest candidate in
-        # enumeration order; subsets stay in first-appearance order.
-        best: Dict[int, int] = {}
-        for k, (mask, cost) in enumerate(zip(combined, level_costs)):
-            held = best.get(mask)
-            if held is None or cost < level_costs[held]:
-                best[mask] = k
-        winners = list(best.values())
+        # enumeration order: ``min`` replaces its pick only on ``<``.
+        cost_of = costs.__getitem__
+        winners = [min(group, key=cost_of) for group in level.groups]
         cost_model.keep(winners)
-        for k in winners:
-            left, right, mask = lefts[k], rights[k], combined[k]
-            by_size[size].append(len(masks))
-            masks.append(mask)
-            hoods.append((hoods[left] | hoods[right]) & ~mask)
-            trees.append((trees[left], trees[right]))
-            cards.append(out_cards[k])
-            costs.append(level_costs[k])
+        back_left += map(level.lefts.__getitem__, winners)
+        back_right += map(level.rights.__getitem__, winners)
 
-    if masks[-1] != (1 << n) - 1:
-        raise PlanError("join graph is not connected")
+    def tree(entry: int) -> JoinTree:
+        if entry < n:
+            return entry
+        return (tree(back_left[entry - n]), tree(back_right[entry - n]))
+
     return DPResult(
-        tree=trees[-1],
-        cost=costs[-1],
-        cardinality=cards[-1],
+        tree=tree(plan.n_entries - 1),
+        cost=costs[winners[-1]],
+        cardinality=plan.cardinality,
         model_calls=cost_model.model_calls - calls_before,
         optimization_seconds=time.perf_counter() - start_time,
-        n_entries=len(masks))
+        n_entries=plan.n_entries)
 
 
 def join_tree_tables(tree: JoinTree, graph: JoinGraph) -> List[str]:

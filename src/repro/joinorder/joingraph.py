@@ -6,7 +6,8 @@ optimization time stresses the cost model, not estimation. The oracle
 here memoizes subset cardinalities computed from filtered base
 cardinalities and per-edge join selectivities. The graph also memoizes
 each relation's featurized leaf scan, which every T3-costed DPsize run
-on it starts from.
+on it starts from, and DPsize's candidate levels, which depend on the
+graph alone (:meth:`JoinGraph.dp_levels`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,43 @@ from ..engine.physical import PTableScan
 from ..engine.pipelines import Pipeline, StageRef
 from ..engine.schema import JoinEdge
 from ..engine.stages import Stage
+
+
+@dataclass(frozen=True, slots=True)
+class DPLevel:
+    """One DPsize size level: every connected, disjoint ``(left, right)``
+    pair of smaller entries, in enumeration order (left size, left
+    entry, right entry). All fields are indexed by candidate position.
+
+    Only tuples of ints and arrays are stored: the collector stops
+    tracing such tuples, so a graph's stored levels add almost nothing
+    to every later collection.
+    """
+
+    lefts: Tuple[int, ...]     # entry ids: the winners' back-pointers
+    rights: Tuple[int, ...]
+    ids: np.ndarray            # intp: lefts, then rights
+    left_cards: np.ndarray     # float64 oracle cardinality of each side
+    right_cards: np.ndarray
+    out_cards: np.ndarray      # float64 oracle cardinality of the union
+    #: Per entry the level adds, in entry-id order, the positions of the
+    #: candidates that form its subset, in enumeration order.
+    groups: Tuple[Tuple[int, ...], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class DPLevels:
+    """DPsize's candidate structure of one graph, which no cost changes.
+
+    Every connected subset is one entry: leaves are ids ``0..n-1`` in
+    relation order, and each level's subsets follow in first-appearance
+    order. A run only costs the levels and picks one candidate per
+    group.
+    """
+
+    levels: Tuple[DPLevel, ...]    # sizes 2..n
+    n_entries: int
+    cardinality: float         # oracle cardinality of all relations
 
 
 @dataclass
@@ -52,8 +90,8 @@ class GraphEdge:
 
 
 class JoinGraph:
-    """Relations + edges + memoized subset-cardinality oracle and leaf
-    feature rows."""
+    """Relations + edges + memoized subset-cardinality oracle, DPsize
+    levels and leaf feature rows."""
 
     def __init__(self, relations: Sequence[Relation],
                  edges: Sequence[GraphEdge]):
@@ -64,6 +102,7 @@ class JoinGraph:
         self._cards: Dict[int, float] = {}
         self._bits: List[int] = []
         self._snapshot: Optional[Tuple[GraphEdge, ...]] = None
+        self._levels: Optional[DPLevels] = None
         # (id(registry), id(catalog)) -> (registry, catalog, rows). The
         # registry and the catalog are stored beside the rows to pin
         # them alive, as CardinalityModel pins its keys: a recycled id
@@ -78,9 +117,9 @@ class JoinGraph:
     # -- connectivity ------------------------------------------------------
 
     def _sync(self) -> Tuple[GraphEdge, ...]:
-        """The edge snapshot the neighbour masks and the cardinality memo
-        were built from; both are rebuilt when :attr:`edges` has changed
-        since."""
+        """The edge snapshot the neighbour masks, the cardinality memo and
+        the DPsize levels were built from; all are rebuilt when
+        :attr:`edges` has changed since."""
         edges = tuple(self.edges)
         if edges != self._snapshot:
             bits = [0] * self.n_relations
@@ -88,6 +127,7 @@ class JoinGraph:
                 bits[graph_edge.left] |= 1 << graph_edge.right
                 bits[graph_edge.right] |= 1 << graph_edge.left
             self._bits, self._snapshot, self._cards = bits, edges, {}
+            self._levels = None
         return self._snapshot
 
     def neighbour_bits(self) -> List[int]:
@@ -139,6 +179,20 @@ class JoinGraph:
                 self._cards[mask] = card
             out.append(card)
         return out
+
+    # -- DPsize levels ------------------------------------------------------
+
+    def dp_levels(self) -> DPLevels:
+        """DPsize's candidate levels over :attr:`edges` as they are now.
+
+        Enumerated on the first request and kept until the edges change;
+        a disconnected graph raises :class:`PlanError` on every request
+        and stores nothing.
+        """
+        self._sync()
+        if self._levels is None:
+            self._levels = _enumerate_levels(self)
+        return self._levels
 
     # -- leaf feature rows ---------------------------------------------------
 
@@ -212,6 +266,72 @@ class JoinGraph:
             selectivity = exact.join_selectivity(join_edge)
             edges.append(GraphEdge(left, right, join_edge, selectivity))
         return cls(relations, edges)
+
+
+def _enumerate_levels(graph: JoinGraph) -> DPLevels:
+    """DPsize's enumeration (Moerkotte & Neumann [34]) of ``graph``.
+
+    Entries are integer ids into parallel lists. Each also keeps its
+    neighbourhood: the relations outside it with an edge into it, so a
+    connectivity test is one AND. A subset's neighbourhood does not
+    depend on how it was split, so it is taken from its first candidate.
+    """
+    n = graph.n_relations
+    if n > 24:
+        raise PlanError(f"DPsize limited to 24 relations, got {n}")
+    bits = graph.neighbour_bits()
+    masks = [1 << index for index in range(n)]
+    hoods = [bits[index] & ~masks[index] for index in range(n)]
+    cards = [relation.cardinality for relation in graph.relations]
+    # Per size, its entries as (id, mask, neighbourhood) in id order.
+    by_size = [[], list(zip(range(n), masks, hoods))]
+    # Per level: its candidates, their subsets' entry ids, its groups.
+    found: List[Tuple[List[Tuple[int, int]], List[int],
+                      Tuple[Tuple[int, ...], ...]]] = []
+
+    # Ordered pairs: (T1, T2) and (T2, T1) are distinct candidates, as
+    # the left subtree builds and the right probes — cost models like T3
+    # are orientation-sensitive (C_out is symmetric and unaffected).
+    for size in range(2, n + 1):
+        pairs: List[Tuple[int, int]] = []
+        for left_size in range(1, size):
+            right_entries = by_size[size - left_size]
+            pairs += [(left, right)
+                      for left, left_mask, hood in by_size[left_size]
+                      for right, right_mask, _ in right_entries
+                      if right_mask & hood and not right_mask & left_mask]
+        # A connected graph has connected subsets of every size.
+        if not pairs:
+            raise PlanError("join graph is not connected")
+        # Each new subset is the next entry id, in first-appearance order.
+        first = len(masks)
+        entry_of: Dict[int, int] = {}
+        unions = [entry_of.setdefault(masks[left] | masks[right],
+                                      first + len(entry_of))
+                  for left, right in pairs]
+        groups: List[List[int]] = [[] for _ in entry_of]
+        for k, entry in enumerate(unions):
+            groups[entry - first].append(k)
+        for mask, group in zip(entry_of, groups):
+            left, right = pairs[group[0]]
+            hoods.append((hoods[left] | hoods[right]) & ~mask)
+        masks += entry_of
+        cards += graph.cardinalities(list(entry_of))
+        by_size.append(list(zip(range(first, len(masks)), entry_of,
+                                hoods[first:])))
+        found.append((pairs, unions, tuple(map(tuple, groups))))
+
+    entry_cards = np.array(cards)
+    levels = []
+    for pairs, unions, groups in found:
+        lefts, rights = zip(*pairs)
+        ids = np.array(lefts + rights, dtype=np.intp)
+        side_cards = entry_cards.take(ids)
+        k = len(lefts)
+        levels.append(DPLevel(
+            lefts, rights, ids, side_cards[:k], side_cards[k:],
+            entry_cards.take(unions), groups))
+    return DPLevels(tuple(levels), len(masks), cards[-1])
 
 
 def _leaf_pipeline(relation: Relation, catalog: Catalog) -> Pipeline:

@@ -100,9 +100,10 @@ class CompiledTreeModel:
 
         self._predict_batch = getattr(self._lib, f"{symbol_prefix}_predict_batch")
         self._predict_batch.restype = None
+        # Raw addresses: ``ndarray.ctypes.data`` is a plain int, so a call
+        # builds no ctypes pointer objects.
         self._predict_batch.argtypes = [
-            ctypes.POINTER(ctypes.c_double), ctypes.c_long,
-            ctypes.POINTER(ctypes.c_double)]
+            ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
 
         reported = getattr(self._lib, f"{symbol_prefix}_n_features")
         reported.restype = ctypes.c_long
@@ -119,10 +120,7 @@ class CompiledTreeModel:
         ``X`` must be C-contiguous float64 ``(n, n_features)`` with
         ``n >= 1`` and ``out`` a float64 vector of length ``n``.
         """
-        self._predict_batch(
-            X.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            ctypes.c_long(len(X)),
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
+        self._predict_batch(X.ctypes.data, len(X), out.ctypes.data)
         self.ffi_calls += 1
 
     def predict_one(self, x: np.ndarray) -> float:

@@ -24,6 +24,7 @@ from repro.joinorder import (
     greedy_order,
     join_tree_tables,
 )
+from repro.joinorder import joingraph as joingraph_module
 from repro.joinorder.dpsize import tree_to_logical
 from repro.core.features import FeatureRegistry, default_registry
 from repro.core.targets import inverse_transform
@@ -530,3 +531,174 @@ class TestLeafRowMemo:
             assert not rows.flags.writeable
             with pytest.raises(ValueError):
                 rows[0, 0] = 1.0
+
+
+def _is_connected(graph):
+    """Connectivity of the whole graph by a plain search over its edges."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        index = frontier.pop()
+        for e in graph.edges:
+            for a, b in ((e.left, e.right), (e.right, e.left)):
+                if a == index and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+    return len(reached) == graph.n_relations
+
+
+def _connected_subset_count(graph):
+    """Connected relation subsets, counted one mask at a time: the number
+    of DP entries."""
+    count = 0
+    for mask in range(1, 1 << graph.n_relations):
+        members = [i for i in range(graph.n_relations) if mask >> i & 1]
+        sub = JoinGraph([graph.relations[i] for i in members],
+                        [replace(e, left=members.index(e.left),
+                                 right=members.index(e.right))
+                         for e in graph.edges
+                         if mask >> e.left & 1 and mask >> e.right & 1])
+        count += _is_connected(sub)
+    return count
+
+
+def _outcome(result):
+    return (result.tree, result.cost, result.model_calls, result.n_entries,
+            result.cardinality)
+
+
+class TestDPLevelMemo:
+    """DPsize's candidate levels are enumerated once per graph; every
+    later run on the graph only costs the stored levels."""
+
+    @pytest.fixture
+    def fresh_graphs(self, imdb):
+        # Built per test: no graph has stored levels yet.
+        return [JoinGraph.from_logical(logical, imdb.catalog)
+                for _, logical in job_queries(imdb)]
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"cardinalities": 0, "enumerations": 0}
+        cardinalities = JoinGraph.cardinalities
+        enumerate_levels = joingraph_module._enumerate_levels
+
+        def counted_cardinalities(graph, masks):
+            counts["cardinalities"] += 1
+            return cardinalities(graph, masks)
+
+        def counted_enumeration(graph):
+            counts["enumerations"] += 1
+            return enumerate_levels(graph)
+
+        monkeypatch.setattr(JoinGraph, "cardinalities",
+                            counted_cardinalities)
+        monkeypatch.setattr(joingraph_module, "_enumerate_levels",
+                            counted_enumeration)
+        return counts
+
+    def test_warm_run_enumerates_nothing(self, fresh_graphs, imdb,
+                                         compiled_model, counts):
+        assert len(fresh_graphs) == 113
+        native = compiled_model._compiled
+        registry = compiled_model.registry
+        predict = compiled_model.predict_raw_one
+
+        def runs(graph):
+            before = native.ffi_calls
+            t3 = dpsize(graph, T3JoinCost(predict, registry, imdb.catalog))
+            t3_native = native.ffi_calls - before
+            return t3, t3_native, dpsize(graph, CoutJoinCost())
+
+        for graph in fresh_graphs:
+            counts.update(cardinalities=0, enumerations=0)
+            first_t3, first_native, first_cout = runs(graph)
+            assert counts["enumerations"] == 1
+            counts.update(cardinalities=0, enumerations=0)
+            second_t3, second_native, second_cout = runs(graph)
+            assert counts == {"cardinalities": 0, "enumerations": 0}
+            assert _outcome(second_t3) == _outcome(first_t3)   # bit-equal
+            assert _outcome(second_cout) == _outcome(first_cout)
+            assert second_native == first_native
+
+            t3_reference = _PerPairReference(
+                T3JoinCost(predict, registry, imdb.catalog), predict)
+            assert (second_t3.tree, second_t3.cost) == _per_pair_dpsize(
+                graph, t3_reference)
+            assert second_t3.model_calls == t3_reference.model_calls
+            cout_reference = _PerPairCout()
+            assert (second_cout.tree, second_cout.cost) == _per_pair_dpsize(
+                graph, cout_reference)
+            assert second_cout.model_calls == cout_reference.model_calls
+            assert second_t3.n_entries == second_cout.n_entries == \
+                _connected_subset_count(graph)
+            assert second_cout.cardinality == \
+                graph.cardinality((1 << graph.n_relations) - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_graphs_with_masks())
+    def test_random_graphs_twice_then_edited(self, case):
+        graph, _, _, removed = case
+
+        def check(graph):
+            if not _is_connected(graph):
+                for _ in range(3):
+                    with pytest.raises(PlanError):
+                        dpsize(graph, CoutJoinCost())
+                assert graph._levels is None
+                return
+            first = dpsize(graph, CoutJoinCost())
+            second = dpsize(graph, CoutJoinCost())
+            reference = _PerPairCout()
+            tree, cost = _per_pair_dpsize(graph, reference)
+            for result in (first, second):
+                assert (result.tree, result.cost) == (tree, cost)
+                assert result.model_calls == reference.model_calls
+                assert result.n_entries == _connected_subset_count(graph)
+
+        check(graph)
+        # Deleting edges drops the stored levels: the next run equals a
+        # freshly built graph's.
+        for position in sorted(removed, reverse=True):
+            del graph.edges[position]
+        check(graph)
+        fresh = JoinGraph(graph.relations, list(graph.edges))
+        if _is_connected(graph):
+            assert _outcome(dpsize(graph, CoutJoinCost())) == \
+                _outcome(dpsize(fresh, CoutJoinCost()))
+
+    def _assert_like_fresh(self, graph, imdb):
+        fresh = JoinGraph(graph.relations, list(graph.edges))
+        for factory in (CoutJoinCost, lambda: T3JoinCost(
+                lambda x: float(np.log1p(x[:16].sum())),
+                default_registry(), imdb.catalog)):
+            assert _outcome(dpsize(graph, factory())) == \
+                _outcome(dpsize(fresh, factory()))
+
+    def test_edge_edits_drop_the_levels(self, fresh_graphs, imdb):
+        graphs = [graph for graph in fresh_graphs if graph.n_relations >= 3]
+        for graph in graphs[::4]:
+            dpsize(graph, CoutJoinCost())
+            stored = graph.dp_levels()
+            assert graph.dp_levels() is stored
+            # Appended: a second path between two relations.
+            adjacent = {(e.left, e.right) for e in graph.edges}
+            a, b = next((a, b) for a in range(graph.n_relations)
+                        for b in range(a + 1, graph.n_relations)
+                        if (a, b) not in adjacent and (b, a) not in adjacent)
+            graph.edges.append(replace(graph.edges[0], left=a, right=b,
+                                       selectivity=1e-3))
+            self._assert_like_fresh(graph, imdb)
+            assert graph.dp_levels() is not stored
+            # Replaced in place and as a whole list.
+            graph.edges[0] = replace(graph.edges[0], selectivity=0.5)
+            self._assert_like_fresh(graph, imdb)
+            graph.edges = graph.edges[1:] + graph.edges[:1]
+            self._assert_like_fresh(graph, imdb)
+            # Cleared: disconnected, on every call, with nothing stored.
+            graph.edges.clear()
+            for _ in range(3):
+                for cost in (CoutJoinCost(), T3JoinCost(
+                        lambda x: 0.0, default_registry(), imdb.catalog)):
+                    with pytest.raises(PlanError):
+                        dpsize(graph, cost)
+                assert graph._levels is None

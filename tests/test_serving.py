@@ -4,6 +4,7 @@ import gc
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -528,16 +529,26 @@ class TestModelRegistry:
 
 
 class TestPredictionService:
-    @pytest.mark.parametrize("mode", list(TargetMode),
-                             ids=lambda mode: mode.value)
-    def test_predict_matches_offline_model(self, mode, mode_models,
+    @pytest.mark.parametrize("mode, backend", [
+        *(pytest.param(mode, "compiled", id=mode.value)
+          for mode in TargetMode),
+        *(pytest.param(mode, "interpreted", id=f"{mode.value}-interpreted")
+          for mode in TargetMode)])
+    def test_predict_matches_offline_model(self, mode, backend, mode_models,
                                            resolver, toy_instance):
         """Every target mode answers alike through ``predict`` (cold and
         warm), a ``predict_many`` mixing cached and new statements, and
-        ``observe``: each equals the offline ``predict_query``."""
+        ``observe``: each equals the offline ``predict_query``, on either
+        backend the registry serves."""
         model = mode_models[mode]
-        registry = ModelRegistry()
-        registry.register(model, "m")
+        assert model.is_compiled
+        registry = ModelRegistry(compile_native=backend == "compiled")
+        # Registering on the interpreted backend switches the model it
+        # is given, so it gets a copy; the offline answers stay compiled.
+        served = model if backend == "compiled" else T3Model(
+            model.booster, replace(model.config, compile_to_native=False),
+            model.registry)
+        assert registry.register(served, "m").backend == backend
         service = PredictionService(
             registry, ServingConfig(plan_cache_size=16, batch_wait_s=0.001),
             instance_resolver=resolver)
